@@ -18,10 +18,10 @@ from qcatalyst import (
     is_valid_catalyst,
     make_spectrum,
     oracle_valid_catalyst,
+    sweep_grid,
     two_qubit_catalyst,
 )
-
-HALF = F(1, 2)
+from qcatalyst.rationals import HALF
 
 
 def random_pair(rng, max_denominator):
@@ -46,15 +46,9 @@ def random_pair(rng, max_denominator):
 
 
 def p_grid(report, lattice_denominator):
-    points = {
-        F(k, lattice_denominator)
-        for k in range(-(-lattice_denominator // 2), lattice_denominator + 1)
-    }
-    points.add(HALF)
-    points.add(F(1))
-    if report.verdict is Verdict.CATALYZABLE:
+    points = set(sweep_grid(lattice_denominator, report.p_interval))
+    if report.p_interval is not None:
         low, high = report.p_interval
-        points.update((low, high))
         points.add(low - min(F(1, 997), low - HALF) / 2)
         points.add(high + min(F(1, 997), 1 - high) / 2)
     return sorted(points)

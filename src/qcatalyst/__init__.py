@@ -4,7 +4,6 @@ and two-qubit entanglement catalysis."""
 from .catalysis import (
     DegenerateSpectrumError,
     FeasibilityReport,
-    InfeasibleReason,
     Verdict,
     analyze,
     closed_form_lambda_prime,
@@ -15,7 +14,6 @@ from .catalysis import (
 from .constructor import (
     Branch,
     ConstructionResult,
-    choose_mu,
     construct_states,
     mu_admissible_bound,
 )
@@ -32,7 +30,6 @@ from .rationals import (
     ExtendedRational,
     Rational,
     is_infinite,
-    mediant,
     parse_rational,
     render_decimal,
     render_rational,
@@ -58,14 +55,12 @@ __all__ = [
     "ExtendedRational",
     "FeasibilityReport",
     "INFINITY",
-    "InfeasibleReason",
     "Rational",
     "Spectrum4",
     "StarViolation",
     "Verdict",
     "analyze",
     "augment",
-    "choose_mu",
     "closed_form_lambda_prime",
     "compute_M",
     "compute_m",
@@ -79,7 +74,6 @@ __all__ = [
     "lorenz_points",
     "make_catalyst",
     "make_spectrum",
-    "mediant",
     "mu_admissible_bound",
     "oracle_valid_catalyst",
     "parse_rational",

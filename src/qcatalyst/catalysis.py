@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .majorization import locc_possible
-from .rationals import INFINITY, ExtendedRational, is_infinite
+from .rationals import HALF, INFINITY, ExtendedRational, is_infinite
 from .spectra import (
     EpsilonTriple,
     Spectrum4,
@@ -33,8 +33,6 @@ from .spectra import (
     _as_fraction,
     epsilon_decompose,
 )
-
-HALF = Fraction(1, 2)
 
 
 class DegenerateSpectrumError(ValueError):
@@ -53,65 +51,54 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class InfeasibleReason:
-    """Why catalysis is impossible: the star pattern failed, or m > M."""
-
-    kind: str  # "star_violated" | "empty_interval"
-    star_violation: Optional[StarViolation] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("star_violated", "empty_interval"):
-            raise ValueError(f"unknown reason kind {self.kind!r}")
-        if (self.kind == "star_violated") != (self.star_violation is not None):
-            raise ValueError("star_violated carries a violation; empty_interval does not")
-
-    @classmethod
-    def star_violated(cls, violation: StarViolation) -> "InfeasibleReason":
-        return cls("star_violated", violation)
-
-    @classmethod
-    def empty_interval(cls) -> "InfeasibleReason":
-        return cls("empty_interval")
-
-
-@dataclass(frozen=True)
 class FeasibilityReport:
     """Outcome of the full decision procedure for source -> target.
 
     The ratio bounds m, M are present whenever a valid slack decomposition
-    exists (verdicts CATALYZABLE and INFEASIBLE/empty_interval).  Both the
-    r-interval [m, M] and the equivalent p-interval [1/(1+M), 1/(1+m)] are
-    carried, because r = (1-p)/p inversions are a perennial hazard.
+    exists (verdict CATALYZABLE, or INFEASIBLE because m > M); an INFEASIBLE
+    verdict without them carries the violated sign condition instead.
     """
 
     verdict: Verdict
     m: Optional[ExtendedRational] = None
     M: Optional[Fraction] = None
-    r_interval: Optional[tuple[Fraction, Fraction]] = None
-    p_interval: Optional[tuple[Fraction, Fraction]] = None
-    reason: Optional[InfeasibleReason] = None
+    star_violation: Optional[StarViolation] = None
 
     def __post_init__(self) -> None:
+        # Real exceptions, not asserts: the invariants must hold under -O.
+        m, M, violation = self.m, self.M, self.star_violation
+        bounds = m is not None and M is not None
         if self.verdict is Verdict.LOCC_ALREADY_POSSIBLE:
-            assert self.m is None and self.M is None
-            assert self.r_interval is None and self.p_interval is None
-            assert self.reason is None
+            valid = m is None and M is None and violation is None
         elif self.verdict is Verdict.CATALYZABLE:
-            assert self.m is not None and self.M is not None
-            assert not is_infinite(self.m) and self.m <= self.M
-            assert 0 < self.m and self.M <= 1
-            assert self.r_interval == (self.m, self.M)
-            assert self.p_interval == (1 / (1 + self.M), 1 / (1 + self.m))
-            assert HALF <= self.p_interval[0] <= self.p_interval[1] < 1
-            assert self.reason is None
+            valid = bounds and violation is None and not is_infinite(m) and 0 < m <= M <= 1
+        elif violation is not None:
+            valid = m is None and M is None
         else:
-            assert self.reason is not None
-            if self.reason.kind == "star_violated":
-                assert self.m is None and self.M is None
-            else:
-                assert self.m is not None and self.M is not None
-                assert self.m > self.M
-            assert self.r_interval is None and self.p_interval is None
+            valid = bounds and m > M
+        if not valid:
+            raise ValueError(
+                f"inconsistent {self.verdict.value} report: "
+                f"m={m}, M={M}, star_violation={violation}"
+            )
+
+    @property
+    def r_interval(self) -> Optional[tuple[Fraction, Fraction]]:
+        """The feasible ratio interval [m, M], when catalyzable."""
+        if self.verdict is not Verdict.CATALYZABLE:
+            return None
+        return (self.m, self.M)
+
+    @property
+    def p_interval(self) -> Optional[tuple[Fraction, Fraction]]:
+        """The feasible p-interval [1/(1+M), 1/(1+m)], within [1/2, 1).
+
+        r = (1-p)/p decreases in p, so the ends swap; kept here in one place
+        because that inversion is a perennial hazard.
+        """
+        if self.verdict is not Verdict.CATALYZABLE:
+            return None
+        return (1 / (1 + self.M), 1 / (1 + self.m))
 
 
 def compute_m(alpha: Spectrum4, eps: EpsilonTriple) -> ExtendedRational:
@@ -163,26 +150,11 @@ def analyze(source: Spectrum4, target: Spectrum4) -> FeasibilityReport:
         return FeasibilityReport(verdict=Verdict.LOCC_ALREADY_POSSIBLE)
     decomposition = epsilon_decompose(source, target)
     if isinstance(decomposition, StarViolation):
-        return FeasibilityReport(
-            verdict=Verdict.INFEASIBLE,
-            reason=InfeasibleReason.star_violated(decomposition),
-        )
+        return FeasibilityReport(verdict=Verdict.INFEASIBLE, star_violation=decomposition)
     m = compute_m(source, decomposition)
     M = compute_M(source, decomposition)
-    if m <= M:
-        return FeasibilityReport(
-            verdict=Verdict.CATALYZABLE,
-            m=m,
-            M=M,
-            r_interval=(m, M),
-            p_interval=(1 / (1 + M), 1 / (1 + m)),
-        )
-    return FeasibilityReport(
-        verdict=Verdict.INFEASIBLE,
-        m=m,
-        M=M,
-        reason=InfeasibleReason.empty_interval(),
-    )
+    verdict = Verdict.CATALYZABLE if m <= M else Verdict.INFEASIBLE
+    return FeasibilityReport(verdict=verdict, m=m, M=M)
 
 
 def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:

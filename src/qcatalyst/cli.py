@@ -1,8 +1,10 @@
 """Command-line front end: every decision procedure, machine-readable output.
 
-Inputs come either from flags (for humans) or from a JSON request document
-on standard input (for harnesses).  Reports are JSON with exact "num/den"
-strings as the authoritative values; decimal fields are annotated
+Every command reads one request document.  Flags (for humans) are its keys;
+when none of the command's required flags is given, the JSON document on
+standard input (for harnesses) supplies the rest, and a flag that is given
+replaces the document key of the same name.  Reports are JSON with exact
+"num/den" strings as the authoritative values; decimal fields are annotated
 approximations.  Tabular commands (sweep, lorenz) emit CSV with a header
 row and LF line endings.
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -60,19 +63,23 @@ def _rational_strings(values) -> list[str]:
     return [render_rational(v) for v in values]
 
 
-def _parse_components(text: str) -> list[Fraction]:
+def _rational(value, label: str) -> Fraction:
     try:
-        return [parse_rational(part.strip()) for part in text.split(",")]
+        return parse_rational(str(value))
     except ValueError as exc:
-        raise InputError(str(exc)) from None
+        raise InputError(f"{label}: {exc}") from None
 
 
-def _spectrum_from_strings(values, label: str) -> Spectrum4:
-    if not isinstance(values, (list, tuple)):
+def _rationals(values, label: str) -> list[Fraction]:
+    if not isinstance(values, list):
         raise InputError(f"{label} must be an array of rational strings")
+    return [_rational(v, label) for v in values]
+
+
+def _spectrum(values, label: str) -> Spectrum4:
     try:
-        return make_spectrum([parse_rational(str(v)) for v in values])
-    except (ValueError, TypeError) as exc:
+        return make_spectrum(_rationals(values, label))
+    except ValueError as exc:
         raise InputError(f"{label}: {exc}") from None
 
 
@@ -83,7 +90,9 @@ def _load_document() -> dict:
             "pass flags or pipe a JSON request document"
         )
     try:
-        document = json.load(sys.stdin)
+        # Numbers keep their literal text, so parse_rational reads them
+        # exactly instead of through a binary float.
+        document = json.load(sys.stdin, parse_float=str)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON request document: {exc}") from None
     if not isinstance(document, dict):
@@ -95,29 +104,37 @@ def _emit_json(document: dict) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _spectrum_pair(args: argparse.Namespace) -> tuple[Spectrum4, Spectrum4, dict]:
-    """Source/target from flags, or from a stdin document; returns the
-    document too so commands can read their extra optional keys."""
-    document: dict = {}
-    if args.source is None and args.target is None:
-        document = _load_document()
-        if "source" not in document or "target" not in document:
-            raise InputError("request document needs 'source' and 'target' arrays")
-        source = _spectrum_from_strings(document["source"], "source")
-        target = _spectrum_from_strings(document["target"], "target")
-        return source, target, document
-    if args.source is None or args.target is None:
-        raise InputError("provide both --source and --target, or neither (stdin document)")
-    try:
-        source = make_spectrum(_parse_components(args.source))
-        target = make_spectrum(_parse_components(args.target))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    return source, target, document
+def _request(args: argparse.Namespace) -> dict:
+    """The request document of one command call.
+
+    Flags are document keys.  The stdin document is read only when none of
+    the command's required keys came as a flag; a flag that is given
+    replaces the document key of the same name.
+    """
+    request = vars(args).copy()
+    del request["command"], request["handler"]
+    required = request.pop("required")
+    given = [key for key in required if key in request]
+    if not given:
+        return {**_load_document(), **request}
+    if len(given) < len(required):
+        flags = " and ".join(f"--{key}" for key in required)
+        raise InputError(f"provide both {flags}, or neither (stdin document)")
+    return request
 
 
-def _cmd_check_locc(args: argparse.Namespace) -> int:
-    source, target, _ = _spectrum_pair(args)
+def _require(request: dict, *keys: str) -> None:
+    if any(key not in request for key in keys):
+        raise InputError(f"request document needs {' and '.join(map(repr, keys))}")
+
+
+def _spectrum_pair(request: dict) -> tuple[Spectrum4, Spectrum4]:
+    _require(request, "source", "target")
+    return _spectrum(request["source"], "source"), _spectrum(request["target"], "target")
+
+
+def _cmd_check_locc(request: dict) -> int:
+    source, target = _spectrum_pair(request)
     violated = first_violated_index(source.alpha, target.alpha)
     _emit_json(
         {
@@ -137,11 +154,15 @@ def _report_json(report: FeasibilityReport) -> dict:
         return [_rational_field(pair[0]), _rational_field(pair[1])]
 
     reason = None
-    if report.reason is not None:
-        reason = {"kind": report.reason.kind}
-        if report.reason.star_violation is not None:
-            reason["condition"] = report.reason.star_violation.value
-            reason["violated_inequality"] = report.reason.star_violation.inequality
+    violation = report.star_violation
+    if violation is not None:
+        reason = {
+            "kind": "star_violated",
+            "condition": violation.value,
+            "violated_inequality": violation.inequality,
+        }
+    elif report.verdict is Verdict.INFEASIBLE:
+        reason = {"kind": "empty_interval"}
     return {
         "verdict": report.verdict.value,
         "m": None if report.m is None else _rational_field(report.m),
@@ -152,37 +173,24 @@ def _report_json(report: FeasibilityReport) -> dict:
     }
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    source, target, _ = _spectrum_pair(args)
+def _cmd_analyze(request: dict) -> int:
+    source, target = _spectrum_pair(request)
     _emit_json(_report_json(analyze(source, target)))
     return EXIT_OK
 
 
-def _catalyst_from_args(args: argparse.Namespace, document: dict) -> CatalystSpectrum:
-    catalyst_text = args.catalyst
-    p_text = args.p
-    if catalyst_text is None and p_text is None:
-        if "catalyst" in document:
-            raw = document["catalyst"]
-            if not isinstance(raw, list):
-                raise InputError("'catalyst' must be an array of rational strings")
-            catalyst_text = ",".join(str(v) for v in raw)
-        elif "p" in document:
-            p_text = str(document["p"])
-    if (catalyst_text is None) == (p_text is None):
+def _catalyst(request: dict) -> CatalystSpectrum:
+    if ("catalyst" in request) == ("p" in request):
         raise InputError("provide exactly one of --catalyst or --p (or a document key)")
-    try:
-        if catalyst_text is not None:
-            return make_catalyst(_parse_components(catalyst_text))
-        p = parse_rational(p_text)
-        return make_catalyst((p, 1 - p))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if "catalyst" in request:
+        return make_catalyst(_rationals(request["catalyst"], "catalyst"))
+    p = _rational(request["p"], "p")
+    return make_catalyst((p, 1 - p))
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    source, target, document = _spectrum_pair(args)
-    catalyst = _catalyst_from_args(args, document)
+def _cmd_validate(request: dict) -> int:
+    source, target = _spectrum_pair(request)
+    catalyst = _catalyst(request)
     report = analyze(source, target)
     already_possible = report.verdict is Verdict.LOCC_ALREADY_POSSIBLE
     oracle_verdict = oracle_valid_catalyst(source, target, catalyst)
@@ -214,12 +222,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    source, target, document = _spectrum_pair(args)
-    denominator = args.denominator
-    if denominator is None:
-        denominator = document.get("grid_denominator", 1000)
-    if not isinstance(denominator, int) or denominator < 1:
+def _cmd_sweep(request: dict) -> int:
+    source, target = _spectrum_pair(request)
+    denominator = request.get("grid_denominator", 1000)
+    # bool is an int subclass; true must not pass for a denominator of 1.
+    if isinstance(denominator, bool) or not isinstance(denominator, int) or denominator < 1:
         raise InputError(f"grid denominator must be a positive integer, got {denominator!r}")
     report = analyze(source, target)
     grid = sweep_grid(denominator, report.p_interval)
@@ -229,25 +236,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    m0_text, big_m0_text, mu_text = args.m0, args.M0, args.mu
-    if m0_text is None and big_m0_text is None:
-        document = _load_document()
-        if "m0" not in document or "M0" not in document:
-            raise InputError("request document needs 'm0' and 'M0'")
-        m0_text = str(document["m0"])
-        big_m0_text = str(document["M0"])
-        if "mu" in document:
-            mu_text = str(document["mu"])
-    if m0_text is None or big_m0_text is None:
-        raise InputError("provide both --m0 and --M0, or neither (stdin document)")
-    try:
-        m0 = parse_rational(m0_text)
-        big_m0 = parse_rational(big_m0_text)
-        mu = None if mu_text is None else parse_rational(mu_text)
-        result = construct_states(m0, big_m0, mu)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def _cmd_construct(request: dict) -> int:
+    _require(request, "m0", "M0")
+    m0 = _rational(request["m0"], "m0")
+    big_m0 = _rational(request["M0"], "M0")
+    mu = _rational(request["mu"], "mu") if "mu" in request else None
+    result = construct_states(m0, big_m0, mu)
     eps = epsilon_decompose(result.source, result.target)
     _emit_json(
         {
@@ -264,24 +258,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_lorenz(args: argparse.Namespace) -> int:
-    if args.spectra:
-        spectra = []
-        for text in args.spectra:
-            try:
-                spectra.append(make_spectrum(_parse_components(text)))
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
-    else:
-        document = _load_document()
-        raw = document.get("spectra")
-        if raw is None and "source" in document:
-            raw = [document["source"]]
-        if not isinstance(raw, list) or not raw:
-            raise InputError("request document needs a nonempty 'spectra' array")
-        spectra = [
-            _spectrum_from_strings(values, f"spectra[{i}]") for i, values in enumerate(raw)
-        ]
+def _cmd_lorenz(request: dict) -> int:
+    raw = request.get("spectra")
+    if raw is None and "source" in request:
+        raw = [request["source"]]
+    if not isinstance(raw, list) or not raw:
+        raise InputError("request document needs a nonempty 'spectra' array")
+    spectra = [_spectrum(values, f"spectra[{i}]") for i, values in enumerate(raw)]
     for index, spectrum in enumerate(spectra):
         if index:
             print()
@@ -294,6 +277,11 @@ def _cmd_lorenz(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _csv_list(text: str) -> list[str]:
+    """A comma-separated flag value as the document's array of strings."""
+    return text.split(",")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="qcatalyst",
@@ -304,38 +292,41 @@ def _build_parser() -> _Parser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_pair_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--source", help="source spectrum, e.g. 0.4,0.4,0.1,0.1")
-        sub.add_argument("--target", help="target spectrum, e.g. 0.5,0.25,0.25,0")
+    def command(name: str, summary: str, handler, required) -> argparse.ArgumentParser:
+        # SUPPRESS keeps the flags that were not given out of the request.
+        sub = subparsers.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        sub.set_defaults(handler=handler, required=required)
+        return sub
 
-    sub = subparsers.add_parser("check-locc", help="decide plain LOCC convertibility")
-    add_pair_flags(sub)
-    sub.set_defaults(handler=_cmd_check_locc)
+    def pair_command(name: str, summary: str, handler) -> argparse.ArgumentParser:
+        sub = command(name, summary, handler, ("source", "target"))
+        sub.add_argument("--source", type=_csv_list, help="source spectrum, e.g. 0.4,0.4,0.1,0.1")
+        sub.add_argument("--target", type=_csv_list, help="target spectrum, e.g. 0.5,0.25,0.25,0")
+        return sub
 
-    sub = subparsers.add_parser("analyze", help="full catalyzability report")
-    add_pair_flags(sub)
-    sub.set_defaults(handler=_cmd_analyze)
+    pair_command("check-locc", "decide plain LOCC convertibility", _cmd_check_locc)
+    pair_command("analyze", "full catalyzability report", _cmd_analyze)
 
-    sub = subparsers.add_parser("validate", help="check one specific catalyst")
-    add_pair_flags(sub)
-    sub.add_argument("--catalyst", help="catalyst spectrum, e.g. 0.6,0.4")
+    sub = pair_command("validate", "check one specific catalyst", _cmd_validate)
+    sub.add_argument("--catalyst", type=_csv_list, help="catalyst spectrum, e.g. 0.6,0.4")
     sub.add_argument("--p", help="two-qubit catalyst parameter p in [1/2, 1]")
-    sub.set_defaults(handler=_cmd_validate)
 
-    sub = subparsers.add_parser("sweep", help="oracle verdicts over a p grid (CSV)")
-    add_pair_flags(sub)
-    sub.add_argument("--denominator", type=int, help="grid denominator d (default 1000)")
-    sub.set_defaults(handler=_cmd_sweep)
+    sub = pair_command("sweep", "oracle verdicts over a p grid (CSV)", _cmd_sweep)
+    sub.add_argument(
+        "--denominator",
+        dest="grid_denominator",
+        metavar="DENOMINATOR",
+        type=int,
+        help="grid denominator d (default 1000)",
+    )
 
-    sub = subparsers.add_parser("construct", help="build a pair with prescribed bounds")
+    sub = command("construct", "build a pair with prescribed bounds", _cmd_construct, ("m0", "M0"))
     sub.add_argument("--m0", help="target lower ratio bound, m0 > 0")
     sub.add_argument("--M0", help="target upper ratio bound, 0 < M0 < 1")
     sub.add_argument("--mu", help="pin the perturbation size instead of searching")
-    sub.set_defaults(handler=_cmd_construct)
 
-    sub = subparsers.add_parser("lorenz", help="Lorenz curve points (CSV)")
-    sub.add_argument("spectra", nargs="*", help="spectra, e.g. 0.4,0.4,0.1,0.1")
-    sub.set_defaults(handler=_cmd_lorenz)
+    sub = command("lorenz", "Lorenz curve points (CSV)", _cmd_lorenz, ("spectra",))
+    sub.add_argument("spectra", nargs="*", type=_csv_list, help="spectra, e.g. 0.4,0.4,0.1,0.1")
 
     return parser
 
@@ -344,12 +335,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
-    except InputError as exc:
+        code = args.handler(_request(args))
+        # A reader that went away must surface here, not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except (InputError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull so that the
+        # flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT_ERROR
 
 

@@ -28,10 +28,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .catalysis import compute_M, compute_m
-from .rationals import Rational
+from .rationals import HALF, Rational
 from .spectra import EpsilonTriple, Spectrum4, _as_fraction, epsilon_decompose
-
-HALF = Fraction(1, 2)
 
 _MAX_HALVINGS = 1000
 
@@ -60,8 +58,8 @@ def _validate_targets(m0: Fraction, M0: Fraction) -> None:
 def mu_admissible_bound(m0: Rational, M0: Rational) -> Fraction:
     """Initial upper bound for the perturbation size mu.
 
-    Necessary but not always sufficient; choose_mu shrinks below it until
-    the construction verifies.
+    Necessary but not always sufficient; construct_states shrinks below it
+    until the construction verifies.
     """
     m0 = _as_fraction(m0)
     M0 = _as_fraction(M0)
@@ -107,21 +105,6 @@ def _try_build(m0: Fraction, M0: Fraction, mu: Fraction) -> Optional[Constructio
     return ConstructionResult(source, target, mu, a, branch)
 
 
-def _search(m0: Fraction, M0: Fraction) -> ConstructionResult:
-    mu = mu_admissible_bound(m0, M0) / 2
-    for _ in range(_MAX_HALVINGS):
-        result = _try_build(m0, M0, mu)
-        if result is not None:
-            return result
-        mu /= 2
-    raise AssertionError(f"no admissible mu found for m0={m0}, M0={M0}")
-
-
-def choose_mu(m0: Rational, M0: Rational) -> Fraction:
-    """A positive mu for which the construction verifies exactly."""
-    return _search(_as_fraction(m0), _as_fraction(M0)).mu
-
-
 def construct_states(
     m0: Rational, M0: Rational, mu: Optional[Rational] = None
 ) -> ConstructionResult:
@@ -135,7 +118,13 @@ def construct_states(
     M0 = _as_fraction(M0)
     _validate_targets(m0, M0)
     if mu is None:
-        return _search(m0, M0)
+        mu = mu_admissible_bound(m0, M0) / 2
+        for _ in range(_MAX_HALVINGS):
+            result = _try_build(m0, M0, mu)
+            if result is not None:
+                return result
+            mu /= 2
+        raise AssertionError(f"no admissible mu found for m0={m0}, M0={M0}")
     mu = _as_fraction(mu)
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")

@@ -14,12 +14,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .majorization import is_majorized_by
+from .rationals import HALF
 from .spectra import CatalystSpectrum, Spectrum4, two_qubit_catalyst
 
 # 4n products of state and catalyst coefficients, sorted descending.
 AugmentedSpectrum = tuple[Fraction, ...]
-
-HALF = Fraction(1, 2)
 
 
 def augment(state: Spectrum4, catalyst: CatalystSpectrum) -> AugmentedSpectrum:

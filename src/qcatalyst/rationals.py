@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing, rendering, mediants, and +infinity.
+"""Exact rational scalars: parsing, rendering, and +infinity.
 
 Every quantity in the core math is a ``fractions.Fraction`` (arbitrary
 precision, canonical reduced form, exact comparisons).  Binary floats are
@@ -19,6 +19,9 @@ Rational = Fraction
 INFINITY: float = math.inf
 
 ExtendedRational = Union[Fraction, float]
+
+# Lower end of the two-qubit catalyst parameter range [1/2, 1].
+HALF = Fraction(1, 2)
 
 
 def is_infinite(value: ExtendedRational) -> bool:
@@ -75,19 +78,3 @@ def render_decimal(value: ExtendedRational, max_digits: int = 12) -> tuple[str, 
             return f"{sign}{whole}.{''.join(digits)}", True
     return f"{sign}{whole}.{''.join(digits)}", False
 
-
-def mediant(n1: Rational | int, d1: Rational | int,
-            n2: Rational | int, d2: Rational | int) -> Fraction:
-    """Mediant (n1+n2)/(d1+d2) of two explicitly represented fractions.
-
-    The result depends on the representation, not the value: (2,4) and
-    (1,2) denote the same number but give different mediants against a
-    third fraction, so callers must pass the pairs they mean.  Whenever
-    n1/d1 >= n2/d2 with positive denominators, the mediant lies between
-    them (weakly).
-
-    Raises ValueError if either denominator is not positive.
-    """
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError("mediant requires positive denominators")
-    return Fraction(n1 + n2, d1 + d2)

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .rationals import Rational
+from .rationals import HALF, Rational
 
 
 def _as_fraction(value: Rational | int | str) -> Fraction:
@@ -145,7 +145,7 @@ def two_qubit_catalyst(p: Rational) -> CatalystSpectrum:
     Raises ValueError when p is outside [1/2, 1].
     """
     p = _as_fraction(p)
-    if not Fraction(1, 2) <= p <= 1:
+    if not HALF <= p <= 1:
         raise ValueError(f"two-qubit catalyst parameter must be in [1/2, 1], got {p}")
     return CatalystSpectrum((p, 1 - p))
 

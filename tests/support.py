@@ -10,15 +10,22 @@ is ever needed and all values are exact.
 from __future__ import annotations
 
 import math
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from qcatalyst import Spectrum4, make_spectrum
 
-HALF = Fraction(1, 2)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env() -> dict:
+    """Environment for a child Python that imports this checkout's package."""
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def composition4(rng: random.Random, total: int) -> tuple[int, int, int, int]:
@@ -108,10 +115,3 @@ def catalyst_params(draw, max_denominator: int = 40) -> Fraction:
     d = draw(st.integers(1, max_denominator))
     k = draw(st.integers(math.ceil(d / 2), d))
     return Fraction(k, d)
-
-
-@st.composite
-def fractions_nonneg(draw, max_numerator: int = 400, max_denominator: int = 60) -> Fraction:
-    return Fraction(
-        draw(st.integers(0, max_numerator)), draw(st.integers(1, max_denominator))
-    )

@@ -33,11 +33,11 @@ from qcatalyst import (
     sweep_grid,
     two_qubit_catalyst,
 )
+from qcatalyst.rationals import HALF
 
 from support import random_star_pair
 
 F = Fraction
-HALF = F(1, 2)
 
 CAT_SOURCE = make_spectrum(["0.4", "0.4", "0.1", "0.1"])
 CAT_TARGET = make_spectrum(["0.5", "0.25", "0.25", "0"])

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from qcatalyst import (
     DegenerateSpectrumError,
     EpsilonTriple,
+    FeasibilityReport,
     Spectrum4,
     StarViolation,
     Verdict,
@@ -23,7 +26,7 @@ from qcatalyst import (
     two_qubit_catalyst,
 )
 
-from support import catalyst_params, star_pairs
+from support import catalyst_params, child_env, star_pairs
 
 F = Fraction
 
@@ -86,14 +89,14 @@ class TestAnalyze:
         assert report.M == F(2, 3)
         assert report.r_interval == (F(3, 5), F(2, 3))
         assert report.p_interval == (F(3, 5), F(5, 8))
-        assert report.reason is None
+        assert report.star_violation is None
 
     def test_infeasible_example(self):
         report = analyze(HARD_SOURCE, HARD_TARGET)
         assert report.verdict is Verdict.INFEASIBLE
         assert report.m == F(1)
         assert report.M == F(1, 4)
-        assert report.reason.kind == "empty_interval"
+        assert report.star_violation is None
         assert report.r_interval is None and report.p_interval is None
 
     def test_identity_is_locc_possible(self):
@@ -104,8 +107,7 @@ class TestAnalyze:
     def test_star_violation_reported(self):
         report = analyze(CAT_TARGET, CAT_SOURCE)
         assert report.verdict is Verdict.INFEASIBLE
-        assert report.reason.kind == "star_violated"
-        assert report.reason.star_violation is StarViolation.EPS1_NEGATIVE
+        assert report.star_violation is StarViolation.EPS1_NEGATIVE
         assert report.m is None and report.M is None
 
 
@@ -189,6 +191,43 @@ class TestReportInvariants:
             assert is_valid_catalyst(source, target, hi)
         else:
             assert report.m > report.M
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"verdict": Verdict.CATALYZABLE, "m": F(2), "M": F(1, 2)},
+            {"verdict": Verdict.CATALYZABLE, "m": F(1, 2), "M": F(2)},
+            {"verdict": Verdict.LOCC_ALREADY_POSSIBLE, "m": F(1, 2), "M": F(2, 3)},
+            {"verdict": Verdict.INFEASIBLE},
+            {"verdict": Verdict.INFEASIBLE, "m": F(1, 2), "M": F(2, 3)},
+            {
+                "verdict": Verdict.INFEASIBLE,
+                "m": F(1),
+                "M": F(1, 4),
+                "star_violation": StarViolation.EPS1_NEGATIVE,
+            },
+        ],
+    )
+    def test_inconsistent_report_rejected(self, fields):
+        with pytest.raises(ValueError, match="inconsistent"):
+            FeasibilityReport(**fields)
+
+    def test_inconsistent_report_rejected_under_optimize(self):
+        # assert statements vanish under -O; the invariants must not.
+        code = (
+            "from fractions import Fraction as F\n"
+            "from qcatalyst import FeasibilityReport, Verdict\n"
+            "FeasibilityReport(Verdict.CATALYZABLE, m=F(2), M=F(1, 2))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        assert "ValueError: inconsistent catalyzable report" in result.stderr
 
     @given(star_pairs(), catalyst_params())
     @settings(max_examples=200)

@@ -1,8 +1,14 @@
 import io
 import json
+import subprocess
+import sys
+
+import pytest
 
 import qcatalyst.cli as cli
 from qcatalyst import parse_rational, render_rational
+
+from support import child_env
 
 CATALYZABLE = ["--source", "0.4,0.4,0.1,0.1", "--target", "0.5,0.25,0.25,0"]
 HARD = ["--source", "0.45,0.45,0.05,0.05", "--target", "0.5,0.35,0.15,0"]
@@ -58,6 +64,18 @@ class TestCheckLocc:
     def test_partial_flags_rejected(self, capsys):
         code, _, err = run(capsys, ["check-locc", "--source", "0.4,0.4,0.1,0.1"])
         assert code == 1 and "both --source and --target" in err
+
+    def test_document_numbers_read_exactly(self, capsys, monkeypatch):
+        # Through a binary float both leading coefficients would become 2/5.
+        stdin = (
+            '{"source": [0.4000000000000000001, 0.3999999999999999999, 0.1, 0.1],'
+            ' "target": [0.5, 0.25, 0.25, 0]}'
+        )
+        code, out, _ = run(capsys, ["check-locc"], stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 0
+        sums = json.loads(out)["partial_sums_source"]
+        assert sums[0] == "4000000000000000001/10000000000000000000"
+        assert sums[1] == "4/5"
 
 
 class TestAnalyze:
@@ -191,6 +209,30 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["theorem_verdict"] is True
 
+    def test_p_flag_joins_document(self, capsys, monkeypatch):
+        doc = {"source": ["0.4", "0.4", "0.1", "0.1"], "target": ["0.5", "0.25", "0.25", "0"]}
+        code, out, _ = run(
+            capsys, ["validate", "--p", "3/5"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert json.loads(out)["theorem_verdict"] is True
+
+    @pytest.mark.parametrize(
+        "argv,extra,message",
+        [
+            # The flag and the document's catalyst both reach the request.
+            (["--p", "3/5"], {"catalyst": ["0.6", "0.4"]}, "exactly one"),
+            ([], {"catalyst": ["0.6", "0.4"], "p": "3/5"}, "exactly one"),
+            # A document array holds one rational per element.
+            ([], {"catalyst": ["0.6,0.4"]}, "malformed"),
+        ],
+    )
+    def test_ambiguous_catalyst_rejected(self, capsys, monkeypatch, argv, extra, message):
+        doc = {"source": ["0.4", "0.4", "0.1", "0.1"], "target": ["0.5", "0.25", "0.25", "0"]}
+        stdin = json.dumps({**doc, **extra})
+        code, out, err = run(capsys, ["validate", *argv], stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 1 and out == "" and message in err
+
 
 class TestSweep:
     def test_worked_example_d40(self, capsys):
@@ -230,6 +272,38 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", *CATALYZABLE, "--denominator", "0"])
         assert code == 1 and "positive integer" in err
 
+    def test_boolean_document_denominator_rejected(self, capsys, monkeypatch):
+        # bool is an int subclass: true must not pass for a denominator of 1.
+        doc = {
+            "source": ["0.4", "0.4", "0.1", "0.1"],
+            "target": ["0.5", "0.25", "0.25", "0"],
+            "grid_denominator": True,
+        }
+        code, out, err = run(capsys, ["sweep"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert code == 1 and out == "" and "positive integer" in err
+
+    def test_closed_stdout_ends_quietly(self):
+        # The reader (think `| head -1`) goes away after the header line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcatalyst.cli", "sweep", *CATALYZABLE]
+            + ["--denominator", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            text=True,
+        )
+        try:
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert header == "p,p_decimal,valid\n"
+        assert code == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
 
 class TestConstruct:
     def test_worked_example(self, capsys):
@@ -261,6 +335,14 @@ class TestConstruct:
         code, out, _ = run(capsys, ["construct"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
         assert code == 0
         assert json.loads(out)["mu"]["exact"] == "1/10"
+
+    def test_mu_flag_replaces_document_mu(self, capsys, monkeypatch):
+        doc = {"m0": "2/3", "M0": "1/3", "mu": "1/10"}
+        code, out, _ = run(
+            capsys, ["construct", "--mu", "1/20"], stdin=json.dumps(doc), monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert json.loads(out)["mu"]["exact"] == "1/20"
 
 
 class TestLorenz:

@@ -8,7 +8,6 @@ from qcatalyst import (
     Branch,
     Verdict,
     analyze,
-    choose_mu,
     compute_M,
     compute_m,
     construct_states,
@@ -28,13 +27,13 @@ class TestMuBound:
         # For (1, 1/10) the closed-form bound is 5/24, yet ordering of the
         # source requires mu <= 1/6 < 5/24; the chooser must end below that.
         assert mu_admissible_bound(F(1), F(1, 10)) == F(5, 24)
-        assert choose_mu(F(1), F(1, 10)) < F(1, 6)
+        assert construct_states(F(1), F(1, 10)).mu < F(1, 6)
 
     @given(st.integers(1, 60), st.integers(1, 20), st.integers(2, 20))
     def test_chosen_mu_positive(self, m0_num, m0_den, big_den):
         m0 = F(m0_num, m0_den)
         big = F(big_den - 1, big_den)
-        assert choose_mu(m0, big) > 0
+        assert construct_states(m0, big).mu > 0
 
 
 class TestConstructStates:

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 from qcatalyst import (
     INFINITY,
     is_infinite,
-    mediant,
     parse_rational,
     render_decimal,
     render_rational,
 )
-
-from support import fractions_nonneg
 
 
 class TestParseRational:
@@ -88,29 +85,3 @@ class TestOrdering:
     def test_is_infinite(self):
         assert is_infinite(INFINITY)
         assert not is_infinite(Fraction(10**30))
-
-
-class TestMediant:
-    def test_spec_values(self):
-        assert mediant(1, 2, 1, 3) == Fraction(2, 5)
-        assert mediant(3, 5, 3, 5) == Fraction(3, 5)
-        # Depends on the representation: (2, 4) is not (1, 2) here.
-        assert mediant(2, 4, 1, 3) == Fraction(3, 7)
-
-    def test_rational_components(self):
-        # Ratio numerators/denominators are themselves exact rationals.
-        assert mediant(
-            Fraction(3, 10), Fraction(1, 2), Fraction(1, 10), Fraction(1, 5)
-        ) == Fraction(4, 7)
-
-    @pytest.mark.parametrize("d1,d2", [(0, 3), (3, 0), (-2, 3)])
-    def test_nonpositive_denominator(self, d1, d2):
-        with pytest.raises(ValueError, match="positive denominators"):
-            mediant(1, d1, 1, d2)
-
-    @given(fractions_nonneg(), st.integers(1, 60), fractions_nonneg(), st.integers(1, 60))
-    def test_lies_between(self, n1, d1, n2, d2):
-        if Fraction(n1, d1) < Fraction(n2, d2):
-            n1, d1, n2, d2 = n2, d2, n1, d1
-        mid = mediant(n1, d1, n2, d2)
-        assert Fraction(n1, d1) >= mid >= Fraction(n2, d2)

@@ -1,0 +1,27 @@
+"""The bundled scripts, run end to end as a user runs them."""
+import subprocess
+import sys
+
+from support import ROOT, child_env
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_reproduce_worked_examples():
+    result = run_script("reproduce_worked_examples.py")
+    assert result.returncode == 0, result.stderr
+    assert "feasible p: [3/5, 5/8]" in result.stdout
+
+
+def test_agreement_experiment():
+    result = run_script("agreement_experiment.py", "--pairs", "200")
+    assert result.returncode == 0, result.stderr
+    assert "disagreements: 0" in result.stdout
