@@ -25,13 +25,13 @@ from functools import lru_cache
 from typing import Optional
 
 from .majorization import locc_possible
-from .rationals import HALF, INFINITY, ExtendedRational, is_infinite
+from .rationals import INFINITY, ExtendedRational, is_infinite
 from .spectra import (
     EpsilonTriple,
     Spectrum4,
     StarViolation,
-    _as_fraction,
     epsilon_decompose,
+    two_qubit_catalyst,
 )
 
 
@@ -165,9 +165,7 @@ def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:
     is already possible under LOCC (no catalyst is needed, the interval
     machinery does not apply).
     """
-    p = _as_fraction(p)
-    if not HALF <= p <= 1:
-        raise ValueError(f"catalyst parameter p must be in [1/2, 1], got {p}")
+    catalyst = two_qubit_catalyst(p)
     report = analyze(source, target)
     if report.verdict is Verdict.LOCC_ALREADY_POSSIBLE:
         raise ValueError(
@@ -175,7 +173,7 @@ def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:
         )
     if report.verdict is Verdict.INFEASIBLE:
         return False
-    r = (1 - p) / p
+    r = catalyst[1] / catalyst[0]
     return report.m <= r <= report.M
 
 
@@ -188,12 +186,11 @@ def closed_form_lambda_prime(
     Valid only for feasible catalysts (m <= (1-p)/p <= M): only then is the
     descending order of the eight products fixed, which is what makes the
     closed forms the true sorted partial sums.  The source spectrum is
-    recovered from (target, eps); a ValueError propagates when the pair is
-    not a genuine decomposition or the ratio is outside [m, M].
+    recovered from (target, eps); a ValueError propagates when p is outside
+    [1/2, 1], the pair is not a genuine decomposition or the ratio is outside
+    [m, M].
     """
-    p = _as_fraction(p)
-    if not 0 < p <= 1:
-        raise ValueError(f"catalyst parameter p must be in (0, 1], got {p}")
+    p, q = two_qubit_catalyst(p)
     a1 = target[0] - eps.eps1
     a2 = target[1] + eps.eps1 + eps.eps2
     a3 = target[2] - eps.eps2 - eps.eps3
@@ -201,13 +198,12 @@ def closed_form_lambda_prime(
     source = Spectrum4((a1, a2, a3, a4))
     m = compute_m(source, eps)
     M = compute_M(source, eps)
-    r = (1 - p) / p
+    r = q / p
     if not m <= r <= M:
         raise ValueError(
             f"ratio (1-p)/p = {r} outside feasible interval [{m}, {M}]; "
             "closed forms do not describe the sorted spectrum there"
         )
-    q = 1 - p
     e1, e2, e3 = eps.eps1, eps.eps2, eps.eps3
     return (
         a1 * p + e1 * p,

@@ -32,6 +32,7 @@ from .spectra import (
     epsilon_decompose,
     make_catalyst,
     make_spectrum,
+    two_qubit_catalyst,
 )
 
 EXIT_OK = 0
@@ -184,8 +185,7 @@ def _catalyst(request: dict) -> CatalystSpectrum:
         raise InputError("provide exactly one of --catalyst or --p (or a document key)")
     if "catalyst" in request:
         return make_catalyst(_rationals(request["catalyst"], "catalyst"))
-    p = _rational(request["p"], "p")
-    return make_catalyst((p, 1 - p))
+    return two_qubit_catalyst(_rational(request["p"], "p"))
 
 
 def _cmd_validate(request: dict) -> int:
@@ -224,12 +224,8 @@ def _cmd_validate(request: dict) -> int:
 
 def _cmd_sweep(request: dict) -> int:
     source, target = _spectrum_pair(request)
-    denominator = request.get("grid_denominator", 1000)
-    # bool is an int subclass; true must not pass for a denominator of 1.
-    if isinstance(denominator, bool) or not isinstance(denominator, int) or denominator < 1:
-        raise InputError(f"grid denominator must be a positive integer, got {denominator!r}")
     report = analyze(source, target)
-    grid = sweep_grid(denominator, report.p_interval)
+    grid = sweep_grid(request.get("grid_denominator", 1000), report.p_interval)
     print("p,p_decimal,valid")
     for p, valid in sweep(source, target, grid):
         print(f"{render_rational(p)},{render_decimal(p)[0]},{1 if valid else 0}")
@@ -260,8 +256,6 @@ def _cmd_construct(request: dict) -> int:
 
 def _cmd_lorenz(request: dict) -> int:
     raw = request.get("spectra")
-    if raw is None and "source" in request:
-        raw = [request["source"]]
     if not isinstance(raw, list) or not raw:
         raise InputError("request document needs a nonempty 'spectra' array")
     spectra = [_spectrum(values, f"spectra[{i}]") for i, values in enumerate(raw)]

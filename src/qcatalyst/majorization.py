@@ -10,6 +10,7 @@ the target spectrum.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .spectra import Spectrum4, _as_fraction
@@ -18,10 +19,10 @@ PartialSums = tuple[Fraction, ...]
 
 
 def _checked_values(values: Iterable) -> list[Fraction]:
-    out = [_as_fraction(v) for v in values]
-    for v in out:
-        if v < 0:
-            raise ValueError(f"components must be nonnegative, got {v}")
+    """``values`` as Fractions sorted descending; raises on a negative one."""
+    out = sorted((_as_fraction(v) for v in values), reverse=True)
+    if out and out[-1] < 0:
+        raise ValueError(f"components must be nonnegative, got {out[-1]}")
     return out
 
 
@@ -30,13 +31,7 @@ def partial_sums(values: Iterable) -> PartialSums:
 
     Raises ValueError on a negative component.
     """
-    ordered = sorted(_checked_values(values), reverse=True)
-    sums = []
-    acc = Fraction(0)
-    for v in ordered:
-        acc += v
-        sums.append(acc)
-    return tuple(sums)
+    return tuple(accumulate(_checked_values(values)))
 
 
 def is_majorized_by(a: Sequence, b: Sequence) -> bool:
@@ -46,25 +41,23 @@ def is_majorized_by(a: Sequence, b: Sequence) -> bool:
     Raises ValueError when lengths differ or totals differ (equal totals are
     part of the definition and are verified, not assumed).
     """
-    first = _checked_values(a)
-    second = _checked_values(b)
-    if len(first) != len(second):
-        raise ValueError(f"length mismatch: {len(first)} vs {len(second)}")
-    if sum(first) != sum(second):
-        raise ValueError(f"total mismatch: {sum(first)} vs {sum(second)}")
-    return first_violated_index(first, second) is None
+    return first_violated_index(a, b) is None
 
 
 def first_violated_index(a: Sequence, b: Sequence) -> Optional[int]:
-    """Smallest k (1-based) whose partial sum of a exceeds that of b, else None."""
-    first = sorted(_checked_values(a), reverse=True)
-    second = sorted(_checked_values(b), reverse=True)
-    sum_a = Fraction(0)
-    sum_b = Fraction(0)
-    for k, (x, y) in enumerate(zip(first, second), start=1):
-        sum_a += x
-        sum_b += y
-        if sum_a > sum_b:
+    """Smallest k (1-based) whose partial sum of a exceeds that of b, else
+    None, in which case a is majorized by b.
+
+    Raises ValueError when lengths differ or totals differ.
+    """
+    sums_a = tuple(accumulate(_checked_values(a)))
+    sums_b = tuple(accumulate(_checked_values(b)))
+    if len(sums_a) != len(sums_b):
+        raise ValueError(f"length mismatch: {len(sums_a)} vs {len(sums_b)}")
+    if sums_a and sums_a[-1] != sums_b[-1]:
+        raise ValueError(f"total mismatch: {sums_a[-1]} vs {sums_b[-1]}")
+    for k, (x, y) in enumerate(zip(sums_a, sums_b), start=1):
+        if x > y:
             return k
     return None
 
@@ -82,13 +75,11 @@ def lorenz_points(values: Iterable) -> list[tuple[Fraction, Fraction]]:
     prepended.  Majorization of one vector by another is containment of its
     polyline beneath the other's.
     """
-    checked = _checked_values(values)
-    total = sum(checked)
+    sums = partial_sums(values)
+    total = sums[-1] if sums else 0
     if total != 1:
         raise ValueError(f"components must sum to 1, got {total}")
-    n = len(checked)
+    n = len(sums)
     points = [(Fraction(0), Fraction(0))]
-    points.extend(
-        (Fraction(k, n), s) for k, s in enumerate(partial_sums(checked), start=1)
-    )
+    points.extend((Fraction(k, n), s) for k, s in enumerate(sums, start=1))
     return points

@@ -64,8 +64,9 @@ def sweep_grid(
     already contains): the endpoints are where a disagreement between the
     interval machinery and the oracle would hide.
     """
-    if denominator < 1:
-        raise ValueError(f"grid denominator must be positive, got {denominator}")
+    # bool is an int subclass; True must not pass for a denominator of 1.
+    if isinstance(denominator, bool) or not isinstance(denominator, int) or denominator < 1:
+        raise ValueError(f"grid denominator must be a positive integer, got {denominator!r}")
     points = {
         Fraction(k, denominator)
         for k in range(-(-denominator // 2), denominator + 1)

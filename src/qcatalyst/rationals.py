@@ -8,6 +8,7 @@ sentinel ``INFINITY`` below, which never enters arithmetic.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -23,6 +24,12 @@ ExtendedRational = Union[Fraction, float]
 # Lower end of the two-qubit catalyst parameter range [1/2, 1].
 HALF = Fraction(1, 2)
 
+# Largest decimal exponent magnitude parse_rational accepts: Fraction builds
+# 10**exponent.  CPython's default integer digit limit already caps digits.
+MAX_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 
 def is_infinite(value: ExtendedRational) -> bool:
     """True for the +infinity sentinel, False for any Fraction."""
@@ -35,10 +42,18 @@ def parse_rational(text: str) -> Fraction:
     Decimal literals convert through powers of ten ("0.45" -> 9/20); the
     value never passes through a binary float.
 
-    Raises ValueError on malformed text or a zero denominator.
+    Raises ValueError on malformed text, a zero denominator or an exponent
+    whose magnitude exceeds MAX_EXPONENT.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    exponent = _EXPONENT.search(text)
+    try:
+        in_range = exponent is None or int(exponent.group(1)) <= MAX_EXPONENT
+    except ValueError:  # more digits than int() converts: far out of range
+        in_range = False
+    if not in_range:
+        raise ValueError(f"exponent of rational {text!r} exceeds {MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -26,15 +26,32 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .rationals import HALF, Rational
+from .rationals import HALF, Rational, parse_rational
 
 
 def _as_fraction(value: Rational | int | str) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
     # Floats are rejected everywhere: Fraction(0.1) would capture the binary
     # approximation, silently breaking exactness.
     if isinstance(value, float):
         raise TypeError("binary floats are not exact; pass a Fraction, int, or string")
     return Fraction(value)
+
+
+def _check_canonical(values: tuple[Fraction, ...], what: str) -> None:
+    """Raise unless ``values`` are nonnegative Fractions, sorted descending, summing to 1."""
+    if any(not isinstance(v, Fraction) for v in values):
+        raise TypeError(f"{what} components must be Fractions")
+    if any(v < 0 for v in values):
+        raise ValueError(f"{what} components must be nonnegative")
+    if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
+        raise ValueError(f"{what} components must be sorted descending")
+    total = sum(values)
+    if total != 1:
+        raise ValueError(f"{what} components must sum to 1, got {total}")
 
 
 @dataclass(frozen=True)
@@ -46,15 +63,7 @@ class Spectrum4:
     def __post_init__(self) -> None:
         if len(self.alpha) != 4:
             raise ValueError(f"spectrum needs exactly 4 components, got {len(self.alpha)}")
-        if any(not isinstance(a, Fraction) for a in self.alpha):
-            raise TypeError("spectrum components must be Fractions")
-        if any(a < 0 for a in self.alpha):
-            raise ValueError("spectrum components must be nonnegative")
-        if any(self.alpha[i] < self.alpha[i + 1] for i in range(3)):
-            raise ValueError("spectrum components must be sorted descending")
-        total = sum(self.alpha)
-        if total != 1:
-            raise ValueError(f"spectrum components must sum to 1, got {total}")
+        _check_canonical(self.alpha, "spectrum")
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.alpha)
@@ -72,15 +81,7 @@ class CatalystSpectrum:
     def __post_init__(self) -> None:
         if len(self.kappa) < 1:
             raise ValueError("catalyst needs at least one component")
-        if any(not isinstance(k, Fraction) for k in self.kappa):
-            raise TypeError("catalyst components must be Fractions")
-        if any(k < 0 for k in self.kappa):
-            raise ValueError("catalyst components must be nonnegative")
-        if any(self.kappa[i] < self.kappa[i + 1] for i in range(len(self.kappa) - 1)):
-            raise ValueError("catalyst components must be sorted descending")
-        total = sum(self.kappa)
-        if total != 1:
-            raise ValueError(f"catalyst components must sum to 1, got {total}")
+        _check_canonical(self.kappa, "catalyst")
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.kappa)
@@ -125,12 +126,10 @@ class StarViolation(Enum):
 def make_spectrum(values: Iterable[Rational | int | str]) -> Spectrum4:
     """Build a canonical spectrum from four probabilities in any order.
 
-    Raises ValueError on a negative component or a sum different from 1.
+    Raises ValueError on a malformed rational, a count other than 4, a
+    negative component or a sum different from 1.
     """
-    alpha = tuple(sorted((_as_fraction(v) for v in values), reverse=True))
-    if len(alpha) != 4:
-        raise ValueError(f"spectrum needs exactly 4 components, got {len(alpha)}")
-    return Spectrum4(alpha)
+    return Spectrum4(tuple(sorted((_as_fraction(v) for v in values), reverse=True)))
 
 
 def make_catalyst(values: Iterable[Rational | int | str]) -> CatalystSpectrum:

@@ -118,6 +118,19 @@ class TestAnalyze:
         assert doc["reason"]["condition"] == "eps1_negative"
         assert "violated_inequality" in doc["reason"]
 
+    def test_huge_exponent_ends_quickly(self):
+        # Building 10**100000000 once took minutes; the bound rejects it first.
+        done = subprocess.run(
+            [sys.executable, "-m", "qcatalyst.cli", "analyze"]
+            + ["--source", "1e-100000000,0.5,0.25,0.25", "--target", "0.5,0.25,0.25,0"],
+            capture_output=True,
+            env=child_env(),
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert "exceeds 4300" in done.stderr and "Traceback" not in done.stderr
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, ["analyze", *CATALYZABLE])
         _, second, _ = run(capsys, ["analyze", *CATALYZABLE])
@@ -232,6 +245,17 @@ class TestValidate:
         stdin = json.dumps({**doc, **extra})
         code, out, err = run(capsys, ["validate", *argv], stdin=stdin, monkeypatch=monkeypatch)
         assert code == 1 and out == "" and message in err
+
+    @pytest.mark.parametrize(
+        "argv,extra",
+        [(["--p", "0.3"], {}), (["--p", "0"], {}), ([], {"p": "3/10"})],
+    )
+    def test_p_outside_its_range_rejected(self, capsys, monkeypatch, argv, extra):
+        # (p, 1-p) must not be re-sorted into the catalyst for 1-p.
+        doc = {"source": ["0.4", "0.4", "0.1", "0.1"], "target": ["0.5", "0.25", "0.25", "0"]}
+        stdin = json.dumps({**doc, **extra})
+        code, out, err = run(capsys, ["validate", *argv], stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 1 and out == "" and "[1/2, 1]" in err
 
 
 class TestSweep:
@@ -371,6 +395,11 @@ class TestLorenz:
         code, out, _ = run(capsys, ["lorenz"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
         assert code == 0
         assert "1/4,1/2,0.5" in out.splitlines()
+
+    def test_document_needs_spectra(self, capsys, monkeypatch):
+        doc = {"source": ["0.5", "0.25", "0.25", "0"]}
+        code, out, err = run(capsys, ["lorenz"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert code == 1 and out == "" and "needs a nonempty 'spectra' array" in err
 
     def test_malformed_spectrum(self, capsys):
         code, _, err = run(capsys, ["lorenz", "0.4,0.4"])

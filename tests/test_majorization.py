@@ -57,6 +57,18 @@ class TestIsMajorizedBy:
         with pytest.raises(ValueError, match="total mismatch"):
             is_majorized_by([F(1, 2), F(1, 2)], [F(1, 2), F(1, 4)])
 
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [
+            ([F(1)], [F(1, 2), F(1, 2)], "length mismatch"),
+            ([F(1, 2), F(1, 2)], [F(1, 4), F(1, 4)], "total mismatch"),
+        ],
+    )
+    def test_first_violated_index_checks_the_pair(self, a, b, message):
+        # Both inputs are complete vectors; a shorter one is not a prefix.
+        with pytest.raises(ValueError, match=message):
+            first_violated_index(a, b)
+
     @given(spectra())
     def test_reflexive(self, s):
         assert is_majorized_by(s.alpha, s.alpha)

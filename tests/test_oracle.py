@@ -141,6 +141,12 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="positive"):
             sweep_grid(0)
 
+    @pytest.mark.parametrize("denominator", [True, "5"])
+    def test_denominator_must_be_an_int(self, denominator):
+        # bool is an int subclass; True is not a denominator of 1.
+        with pytest.raises(ValueError, match="positive integer"):
+            sweep_grid(denominator)
+
     def test_endpoint_range_validation(self):
         with pytest.raises(ValueError, match="outside"):
             sweep_grid(10, (F(1, 4), F(3, 5)))

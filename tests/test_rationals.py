@@ -23,6 +23,7 @@ class TestParseRational:
             ("-0.45", Fraction(-9, 20)),
             ("7", Fraction(7)),
             ("0", Fraction(0)),
+            ("1e-4300", Fraction(1, 10**4300)),
         ],
     )
     def test_exact_values(self, text, expected):
@@ -31,6 +32,14 @@ class TestParseRational:
     @pytest.mark.parametrize("text", ["", "abc", "1/2/3", "1..2", "0x10"])
     def test_malformed(self, text):
         with pytest.raises(ValueError, match="malformed"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize(
+        "text", ["1e-100000000", "2E+4301", pytest.param("1e" + "9" * 5000, id="1e999...")]
+    )
+    def test_exponent_bound(self, text):
+        # Fraction would build 10**exponent first; 1e-100000000 took minutes.
+        with pytest.raises(ValueError, match="exceeds 4300"):
             parse_rational(text)
 
     def test_zero_denominator(self):

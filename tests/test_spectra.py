@@ -54,6 +54,13 @@ class TestMakeSpectrum:
         with pytest.raises(ValueError, match="exactly 4"):
             make_spectrum(["0.5", "0.5"])
 
+    @pytest.mark.parametrize(
+        "text,message", [("1/0", "zero denominator"), ("1e-100000000", "exceeds 4300")]
+    )
+    def test_strings_go_through_parse_rational(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            make_spectrum([text, "0", "0", "1"])
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError, match="not exact"):
             make_spectrum([0.4, 0.4, 0.1, 0.1])
