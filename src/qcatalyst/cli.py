@@ -6,7 +6,8 @@ standard input (for harnesses) supplies the rest, and a flag that is given
 replaces the document key of the same name.  Reports are JSON with exact
 "num/den" strings as the authoritative values; decimal fields are annotated
 approximations.  Tabular commands (sweep, lorenz) emit CSV with a header
-row and LF line endings.
+row and LF line endings.  Each ``_cmd_*`` handler returns its report (a dict)
+or its CSV lines; ``main`` alone writes them and picks the exit code.
 
 Exit codes: 0 = evaluated (whatever the verdict), 1 = input error,
 2 = internal consistency failure (interval theorem and brute-force oracle
@@ -101,10 +102,6 @@ def _load_document() -> dict:
     return document
 
 
-def _emit_json(document: dict) -> None:
-    print(json.dumps(document, indent=2))
-
-
 def _request(args: argparse.Namespace) -> dict:
     """The request document of one command call.
 
@@ -134,18 +131,15 @@ def _spectrum_pair(request: dict) -> tuple[Spectrum4, Spectrum4]:
     return _spectrum(request["source"], "source"), _spectrum(request["target"], "target")
 
 
-def _cmd_check_locc(request: dict) -> int:
+def _cmd_check_locc(request: dict) -> dict:
     source, target = _spectrum_pair(request)
     violated = first_violated_index(source.alpha, target.alpha)
-    _emit_json(
-        {
-            "possible": violated is None,
-            "partial_sums_source": _rational_strings(partial_sums(source.alpha)),
-            "partial_sums_target": _rational_strings(partial_sums(target.alpha)),
-            "first_violated_index": violated,
-        }
-    )
-    return EXIT_OK
+    return {
+        "possible": violated is None,
+        "partial_sums_source": _rational_strings(partial_sums(source.alpha)),
+        "partial_sums_target": _rational_strings(partial_sums(target.alpha)),
+        "first_violated_index": violated,
+    }
 
 
 def _report_json(report: FeasibilityReport) -> dict:
@@ -174,10 +168,9 @@ def _report_json(report: FeasibilityReport) -> dict:
     }
 
 
-def _cmd_analyze(request: dict) -> int:
+def _cmd_analyze(request: dict) -> dict:
     source, target = _spectrum_pair(request)
-    _emit_json(_report_json(analyze(source, target)))
-    return EXIT_OK
+    return _report_json(analyze(source, target))
 
 
 def _catalyst(request: dict) -> CatalystSpectrum:
@@ -188,7 +181,7 @@ def _catalyst(request: dict) -> CatalystSpectrum:
     return two_qubit_catalyst(_rational(request["p"], "p"))
 
 
-def _cmd_validate(request: dict) -> int:
+def _cmd_validate(request: dict) -> dict:
     source, target = _spectrum_pair(request)
     catalyst = _catalyst(request)
     report = analyze(source, target)
@@ -202,73 +195,61 @@ def _cmd_validate(request: dict) -> int:
             theorem_verdict = True
         else:
             theorem_verdict = is_valid_catalyst(source, target, catalyst[0])
-    agree = theorem_verdict is None or theorem_verdict == oracle_verdict
-    _emit_json(
-        {
-            "catalyst": _rational_strings(catalyst),
-            "p": render_rational(catalyst[0]) if len(catalyst) == 2 else None,
-            "locc_already_possible": already_possible,
-            "theorem_verdict": theorem_verdict,
-            "oracle_verdict": oracle_verdict,
-            "agree": agree,
-        }
-    )
-    if not agree:
-        print(
-            "internal consistency failure: interval theorem and oracle disagree",
-            file=sys.stderr,
-        )
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+    return {
+        "catalyst": _rational_strings(catalyst),
+        "p": render_rational(catalyst[0]) if len(catalyst) == 2 else None,
+        "locc_already_possible": already_possible,
+        "theorem_verdict": theorem_verdict,
+        "oracle_verdict": oracle_verdict,
+        "agree": theorem_verdict is None or theorem_verdict == oracle_verdict,
+    }
 
 
-def _cmd_sweep(request: dict) -> int:
+def _cmd_sweep(request: dict) -> list[str]:
     source, target = _spectrum_pair(request)
     report = analyze(source, target)
     grid = sweep_grid(request.get("grid_denominator", 1000), report.p_interval)
-    print("p,p_decimal,valid")
-    for p, valid in sweep(source, target, grid):
-        print(f"{render_rational(p)},{render_decimal(p)[0]},{1 if valid else 0}")
-    return EXIT_OK
+    return ["p,p_decimal,valid"] + [
+        f"{render_rational(p)},{render_decimal(p)[0]},{1 if valid else 0}"
+        for p, valid in sweep(source, target, grid)
+    ]
 
 
-def _cmd_construct(request: dict) -> int:
+def _cmd_construct(request: dict) -> dict:
     _require(request, "m0", "M0")
     m0 = _rational(request["m0"], "m0")
     big_m0 = _rational(request["M0"], "M0")
     mu = _rational(request["mu"], "mu") if "mu" in request else None
     result = construct_states(m0, big_m0, mu)
     eps = epsilon_decompose(result.source, result.target)
-    _emit_json(
-        {
-            "branch": result.branch.value,
-            "mu": _rational_field(result.mu),
-            "a": _rational_field(result.a),
-            "source": _rational_strings(result.source),
-            "target": _rational_strings(result.target),
-            "epsilon": _rational_strings((eps.eps1, eps.eps2, eps.eps3)),
-            "recomputed_m": _rational_field(compute_m(result.source, eps)),
-            "recomputed_M": _rational_field(compute_M(result.source, eps)),
-        }
-    )
-    return EXIT_OK
+    return {
+        "branch": result.branch.value,
+        "mu": _rational_field(result.mu),
+        "a": _rational_field(result.a),
+        "source": _rational_strings(result.source),
+        "target": _rational_strings(result.target),
+        "epsilon": _rational_strings((eps.eps1, eps.eps2, eps.eps3)),
+        "recomputed_m": _rational_field(compute_m(result.source, eps)),
+        "recomputed_M": _rational_field(compute_M(result.source, eps)),
+    }
 
 
-def _cmd_lorenz(request: dict) -> int:
+def _cmd_lorenz(request: dict) -> list[str]:
     raw = request.get("spectra")
     if not isinstance(raw, list) or not raw:
         raise InputError("request document needs a nonempty 'spectra' array")
     spectra = [_spectrum(values, f"spectra[{i}]") for i, values in enumerate(raw)]
+    lines = []
     for index, spectrum in enumerate(spectra):
         if index:
-            print()
-        print("k_over_n,lambda,lambda_decimal")
-        for k_over_n, cumulative in lorenz_points(spectrum.alpha):
-            print(
-                f"{render_rational(k_over_n)},{render_rational(cumulative)},"
-                f"{render_decimal(cumulative)[0]}"
-            )
-    return EXIT_OK
+            lines.append("")
+        lines.append("k_over_n,lambda,lambda_decimal")
+        lines.extend(
+            f"{render_rational(k_over_n)},{render_rational(cumulative)},"
+            f"{render_decimal(cumulative)[0]}"
+            for k_over_n, cumulative in lorenz_points(spectrum.alpha)
+        )
+    return lines
 
 
 def _csv_list(text: str) -> list[str]:
@@ -329,10 +310,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.handler(_request(args))
+        result = args.handler(_request(args))
+        is_report = isinstance(result, dict)
+        # CSV goes out row by row, so a reader that leaves early stops the writes.
+        for line in [json.dumps(result, indent=2)] if is_report else result:
+            print(line)
         # A reader that went away must surface here, not at interpreter exit.
         sys.stdout.flush()
-        return code
     except (InputError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -341,6 +325,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # flush at exit does not fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT_ERROR
+    if is_report and result.get("agree") is False:
+        print(
+            "internal consistency failure: interval theorem and oracle disagree",
+            file=sys.stderr,
+        )
+        return EXIT_INCONSISTENT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

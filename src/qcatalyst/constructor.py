@@ -44,8 +44,11 @@ class ConstructionResult:
     source: Spectrum4
     target: Spectrum4
     mu: Fraction
-    a: Fraction
     branch: Branch
+
+    @property
+    def a(self) -> Fraction:  # the scale; the target profile starts with 1
+        return self.target[0]
 
 
 def _validate_targets(m0: Fraction, M0: Fraction) -> None:
@@ -102,7 +105,7 @@ def _try_build(m0: Fraction, M0: Fraction, mu: Fraction) -> Optional[Constructio
         return None
     if compute_m(source, eps) != m0 or compute_M(source, eps) != M0:
         return None
-    return ConstructionResult(source, target, mu, a, branch)
+    return ConstructionResult(source, target, mu, branch)
 
 
 def construct_states(

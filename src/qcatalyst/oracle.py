@@ -9,7 +9,6 @@ against.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,6 +18,10 @@ from .spectra import CatalystSpectrum, Spectrum4, two_qubit_catalyst
 
 # 4n products of state and catalyst coefficients, sorted descending.
 AugmentedSpectrum = tuple[Fraction, ...]
+
+# Largest grid denominator sweep_grid accepts; d = 100,000 already takes
+# seconds to sweep, and the grid holds d/2 Fractions.
+MAX_GRID_DENOMINATOR = 100_000
 
 
 def augment(state: Spectrum4, catalyst: CatalystSpectrum) -> AugmentedSpectrum:
@@ -45,11 +48,7 @@ def sweep(
     Results come back in grid order.  Raises ValueError for a grid value
     outside [1/2, 1].
     """
-    out = []
-    for p in grid:
-        catalyst = two_qubit_catalyst(p)  # validates the range
-        out.append((p, oracle_valid_catalyst(source, target, catalyst)))
-    return out
+    return [(p, oracle_valid_catalyst(source, target, two_qubit_catalyst(p))) for p in grid]
 
 
 def sweep_grid(
@@ -57,30 +56,28 @@ def sweep_grid(
     p_interval: Optional[tuple[Fraction, Fraction]] = None,
 ) -> list[Fraction]:
     """Default sweep grid: the lattice k/denominator within [1/2, 1], plus
-    the domain boundaries 1/2 and 1 themselves.
+    the domain boundary 1/2 itself (1 = denominator/denominator is on it).
 
-    When a feasible p-interval is known, its exact endpoints are merged in
-    (together with their neighbouring lattice points, which the lattice
-    already contains): the endpoints are where a disagreement between the
-    interval machinery and the oracle would hide.
+    When a feasible p-interval is known, its exact endpoints are merged in:
+    the endpoints are where a disagreement between the interval machinery
+    and the oracle would hide.  Raises ValueError unless the denominator is
+    an int from 1 to MAX_GRID_DENOMINATOR.
     """
-    # bool is an int subclass; True must not pass for a denominator of 1.
-    if isinstance(denominator, bool) or not isinstance(denominator, int) or denominator < 1:
-        raise ValueError(f"grid denominator must be a positive integer, got {denominator!r}")
+    # type(), not isinstance: bool is an int subclass, and True is not a
+    # denominator of 1.
+    if type(denominator) is not int or not 1 <= denominator <= MAX_GRID_DENOMINATOR:
+        raise ValueError(
+            "grid denominator must be a positive integer up to "
+            f"{MAX_GRID_DENOMINATOR}, got {denominator!r}"
+        )
     points = {
         Fraction(k, denominator)
         for k in range(-(-denominator // 2), denominator + 1)
     }
     points.add(HALF)
-    points.add(Fraction(1))
     if p_interval is not None:
         for endpoint in p_interval:
             if not HALF <= endpoint <= 1:
                 raise ValueError(f"interval endpoint {endpoint} outside [1/2, 1]")
             points.add(endpoint)
-            scaled = endpoint * denominator
-            for k in (math.floor(scaled), math.ceil(scaled)):
-                candidate = Fraction(k, denominator)
-                if HALF <= candidate <= 1:
-                    points.add(candidate)
     return sorted(points)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -29,6 +30,9 @@ HALF = Fraction(1, 2)
 MAX_EXPONENT = 4300
 
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+# Fractional digits render_decimal writes before it truncates.
+_DECIMAL_DIGITS = 12
 
 
 def is_infinite(value: ExtendedRational) -> bool:
@@ -62,34 +66,34 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}") from None
 
 
+def _int_text(n: int) -> str:
+    """Decimal text of any int; str(n) refuses more than 4,300 digits."""
+    return str(Decimal(n))
+
+
 def render_rational(value: ExtendedRational) -> str:
-    """Render as "num/den" (or "inf"); parse_rational round-trips the result."""
+    """Render as "num/den" (or "inf"); parse_rational round-trips the result
+    when both parts fit its input limits."""
     if is_infinite(value):
         return "inf"
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
-def render_decimal(value: ExtendedRational, max_digits: int = 12) -> tuple[str, bool]:
+def render_decimal(value: ExtendedRational) -> tuple[str, bool]:
     """Decimal rendering for display only.
 
     Returns (text, exact).  ``exact`` is False when the expansion does not
-    terminate within ``max_digits`` fractional digits; the text is then a
-    truncation and must be treated as approximate.
+    terminate within 12 fractional digits; the text is then a truncation
+    and must be treated as approximate.
     """
     if is_infinite(value):
         return "inf", True
     num, den = value.numerator, value.denominator
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    whole, rem = divmod(num, den)
-    if rem == 0:
-        return f"{sign}{whole}", True
+    whole, rem = divmod(abs(num), den)
     digits = []
-    for _ in range(max_digits):
-        rem *= 10
-        digit, rem = divmod(rem, den)
+    while rem and len(digits) < _DECIMAL_DIGITS:
+        digit, rem = divmod(rem * 10, den)
         digits.append(str(digit))
-        if rem == 0:
-            return f"{sign}{whole}.{''.join(digits)}", True
-    return f"{sign}{whole}.{''.join(digits)}", False
+    text = _int_text(whole) + ("." + "".join(digits) if digits else "")
+    return ("-" if num < 0 else "") + text, rem == 0
 

@@ -38,6 +38,9 @@ def _as_fraction(value: Rational | int | str) -> Fraction:
     # approximation, silently breaking exactness.
     if isinstance(value, float):
         raise TypeError("binary floats are not exact; pass a Fraction, int, or string")
+    # bool is an int subclass; True must not pass for the rational 1.
+    if isinstance(value, bool):
+        raise TypeError("booleans are not rationals; pass a Fraction, int, or string")
     return Fraction(value)
 
 

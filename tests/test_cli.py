@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,16 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# README's command-line examples with their exact stdout and exit code.
+GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)])
+def test_readme_examples_byte_identical(capsys, monkeypatch, case):
+    code, out, _ = run(capsys, case["argv"], stdin=case["stdin"], monkeypatch=monkeypatch)
+    assert (code, out) == (case["exit_code"], case["stdout"])
 
 
 class TestCheckLocc:
@@ -64,6 +75,16 @@ class TestCheckLocc:
     def test_partial_flags_rejected(self, capsys):
         code, _, err = run(capsys, ["check-locc", "--source", "0.4,0.4,0.1,0.1"])
         assert code == 1 and "both --source and --target" in err
+
+    def test_values_beyond_the_input_digit_limit_render(self, capsys):
+        # Each input stays within 4,300 digits; their sum does not.
+        big = "0.24" + "9" * 4298
+        code, out, err = run(
+            capsys,
+            ["check-locc", "--source", f"1e-4300,0.5,0.25,{big}", "--target", "0.5,0.25,0.25,0"],
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["partial_sums_source"][2] == "9" * 4300 + "/1" + "0" * 4300
 
     def test_document_numbers_read_exactly(self, capsys, monkeypatch):
         # Through a binary float both leading coefficients would become 2/5.
@@ -295,6 +316,20 @@ class TestSweep:
     def test_bad_denominator(self, capsys):
         code, _, err = run(capsys, ["sweep", *CATALYZABLE, "--denominator", "0"])
         assert code == 1 and "positive integer" in err
+
+    def test_huge_denominator_ends_quickly(self):
+        # A grid of 10**11 points once ran without end; the bound rejects it.
+        done = subprocess.run(
+            [sys.executable, "-m", "qcatalyst.cli", "sweep", *CATALYZABLE]
+            + ["--denominator", "100000000000"],
+            capture_output=True,
+            env=child_env(),
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert "positive integer up to 100000" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_boolean_document_denominator_rejected(self, capsys, monkeypatch):
         # bool is an int subclass: true must not pass for a denominator of 1.

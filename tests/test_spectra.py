@@ -64,6 +64,9 @@ class TestMakeSpectrum:
     def test_rejects_floats(self):
         with pytest.raises(TypeError, match="not exact"):
             make_spectrum([0.4, 0.4, 0.1, 0.1])
+        # bool is an int subclass; True is not the rational 1.
+        with pytest.raises(TypeError, match="not rationals"):
+            make_spectrum([True, False, False, False])
 
     def test_direct_construction_requires_canonical(self):
         with pytest.raises(ValueError, match="sorted descending"):
@@ -85,6 +88,11 @@ class TestCatalysts:
         assert two_qubit_catalyst(Fraction(3, 5)).kappa == (Fraction(3, 5), Fraction(2, 5))
         assert two_qubit_catalyst(Fraction(1, 2)).kappa == (Fraction(1, 2), Fraction(1, 2))
         assert two_qubit_catalyst(1).kappa == (Fraction(1), Fraction(0))
+
+    def test_two_qubit_catalyst_rejects_bool(self):
+        # bool is an int subclass; True is not p = 1.
+        with pytest.raises(TypeError, match="not rationals"):
+            two_qubit_catalyst(True)
 
     @pytest.mark.parametrize("p", ["2/5", "11/10"])
     def test_two_qubit_catalyst_range(self, p):
