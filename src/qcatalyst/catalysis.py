@@ -24,8 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .majorization import locc_possible
-from .rationals import INFINITY, ExtendedRational, is_infinite
+from .rationals import INFINITY, ExtendedRational
 from .spectra import (
     EpsilonTriple,
     Spectrum4,
@@ -54,12 +53,11 @@ class Verdict(Enum):
 class FeasibilityReport:
     """Outcome of the full decision procedure for source -> target.
 
-    The ratio bounds m, M are present whenever a valid slack decomposition
-    exists (verdict CATALYZABLE, or INFEASIBLE because m > M); an INFEASIBLE
-    verdict without them carries the violated sign condition instead.
+    No field set means LOCC already works; the ratio bounds m, M are present
+    whenever a valid slack decomposition exists, star_violation otherwise.
+    The verdict is derived from these three fields.
     """
 
-    verdict: Verdict
     m: Optional[ExtendedRational] = None
     M: Optional[Fraction] = None
     star_violation: Optional[StarViolation] = None
@@ -67,20 +65,18 @@ class FeasibilityReport:
     def __post_init__(self) -> None:
         # Real exceptions, not asserts: the invariants must hold under -O.
         m, M, violation = self.m, self.M, self.star_violation
-        bounds = m is not None and M is not None
-        if self.verdict is Verdict.LOCC_ALREADY_POSSIBLE:
-            valid = m is None and M is None and violation is None
-        elif self.verdict is Verdict.CATALYZABLE:
-            valid = bounds and violation is None and not is_infinite(m) and 0 < m <= M <= 1
-        elif violation is not None:
+        if m is None or M is None:
             valid = m is None and M is None
         else:
-            valid = bounds and m > M
+            valid = violation is None and (m > M or 0 < m <= M <= 1)
         if not valid:
-            raise ValueError(
-                f"inconsistent {self.verdict.value} report: "
-                f"m={m}, M={M}, star_violation={violation}"
-            )
+            raise ValueError(f"inconsistent report: m={m}, M={M}, star_violation={violation}")
+
+    @property
+    def verdict(self) -> Verdict:
+        if self.star_violation is not None or (self.m is not None and self.m > self.M):
+            return Verdict.INFEASIBLE
+        return Verdict.LOCC_ALREADY_POSSIBLE if self.m is None else Verdict.CATALYZABLE
 
     @property
     def r_interval(self) -> Optional[tuple[Fraction, Fraction]]:
@@ -143,18 +139,17 @@ def compute_M(alpha: Spectrum4, eps: EpsilonTriple) -> Fraction:
 def analyze(source: Spectrum4, target: Spectrum4) -> FeasibilityReport:
     """Full decision: LOCC-possible, catalyzable with interval, or infeasible.
 
-    The LOCC check runs first; the catalyzable verdict is reserved for pairs
-    that are impossible on their own.
+    Read off one slack decomposition: Nielsen's partial-sum conditions are
+    eps1 >= 0, eps2 <= 0 and eps3 >= 0, and epsilon_decompose reports the
+    first violation in (eps1, eps2, eps3) order, so LOCC already works
+    exactly when it reports EPS2_NOT_POSITIVE and source4 >= target4.
     """
-    if locc_possible(source, target):
-        return FeasibilityReport(verdict=Verdict.LOCC_ALREADY_POSSIBLE)
-    decomposition = epsilon_decompose(source, target)
-    if isinstance(decomposition, StarViolation):
-        return FeasibilityReport(verdict=Verdict.INFEASIBLE, star_violation=decomposition)
-    m = compute_m(source, decomposition)
-    M = compute_M(source, decomposition)
-    verdict = Verdict.CATALYZABLE if m <= M else Verdict.INFEASIBLE
-    return FeasibilityReport(verdict=verdict, m=m, M=M)
+    eps = epsilon_decompose(source, target)
+    if eps is StarViolation.EPS2_NOT_POSITIVE and source[3] >= target[3]:
+        return FeasibilityReport()
+    if isinstance(eps, StarViolation):
+        return FeasibilityReport(star_violation=eps)
+    return FeasibilityReport(m=compute_m(source, eps), M=compute_M(source, eps))
 
 
 def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:
@@ -171,10 +166,8 @@ def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:
         raise ValueError(
             "transformation is already possible under LOCC; catalysis does not apply"
         )
-    if report.verdict is Verdict.INFEASIBLE:
-        return False
     r = catalyst[1] / catalyst[0]
-    return report.m <= r <= report.M
+    return report.star_violation is None and report.m <= r <= report.M
 
 
 def closed_form_lambda_prime(

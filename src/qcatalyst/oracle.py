@@ -9,6 +9,7 @@ against.
 """
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -70,14 +71,15 @@ def sweep_grid(
             "grid denominator must be a positive integer up to "
             f"{MAX_GRID_DENOMINATOR}, got {denominator!r}"
         )
-    points = {
-        Fraction(k, denominator)
-        for k in range(-(-denominator // 2), denominator + 1)
-    }
-    points.add(HALF)
+    extra = {HALF}
     if p_interval is not None:
         for endpoint in p_interval:
             if not HALF <= endpoint <= 1:
                 raise ValueError(f"interval endpoint {endpoint} outside [1/2, 1]")
-            points.add(endpoint)
-    return sorted(points)
+            extra.add(endpoint)
+    grid = [Fraction(k, denominator) for k in range(-(-denominator // 2), denominator + 1)]
+    # The lattice comes out ascending; only the extra points off it go in.
+    for point in extra:
+        if (point * denominator).denominator != 1:
+            insort(grid, point)
+    return grid

@@ -25,11 +25,13 @@ ExtendedRational = Union[Fraction, float]
 # Lower end of the two-qubit catalyst parameter range [1/2, 1].
 HALF = Fraction(1, 2)
 
-# Largest decimal exponent magnitude parse_rational accepts: Fraction builds
-# 10**exponent.  CPython's default integer digit limit already caps digits.
-MAX_EXPONENT = 4300
+# Largest decimal exponent magnitude parse_rational accepts (Fraction builds
+# 10**exponent), and CPython's default digit limit on each number in the text.
+MAX_EXPONENT = MAX_DIGITS = 4300
 
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# Over MAX_DIGITS digits, maybe split by underscores; compiled on the error path.
+_LONG_NUMBER = r"\d(?:_?\d){%d}" % MAX_DIGITS
 
 # Fractional digits render_decimal writes before it truncates.
 _DECIMAL_DIGITS = 12
@@ -46,8 +48,8 @@ def parse_rational(text: str) -> Fraction:
     Decimal literals convert through powers of ten ("0.45" -> 9/20); the
     value never passes through a binary float.
 
-    Raises ValueError on malformed text, a zero denominator or an exponent
-    whose magnitude exceeds MAX_EXPONENT.
+    Raises ValueError on malformed text, a zero denominator, a number of
+    more than MAX_DIGITS digits or an exponent beyond MAX_EXPONENT.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
@@ -63,6 +65,8 @@ def parse_rational(text: str) -> Fraction:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}") from None
     except ValueError:
+        if re.search(_LONG_NUMBER, text):
+            raise ValueError(f"rational {text!r} has a number over {MAX_DIGITS} digits") from None
         raise ValueError(f"malformed rational {text!r}") from None
 
 

@@ -7,7 +7,6 @@ exact; runtime ceilings are asserted where stated.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from fractions import Fraction
 from time import perf_counter
@@ -83,22 +82,13 @@ def star_pair_corpus():
 
 
 def _p_grid(report) -> list[Fraction]:
-    """20 lattice points over [1/2, 1], plus exact interval endpoints, their
-    adjacent lattice points, and points just outside the interval."""
-    points = {F(k, 38) for k in range(19, 39)}
-    if report.verdict is Verdict.CATALYZABLE:
+    """20 lattice points over [1/2, 1], plus exact interval endpoints and
+    points just outside the interval."""
+    points = set(sweep_grid(38, report.p_interval))
+    if report.p_interval is not None:
         low, high = report.p_interval
-        for endpoint in (low, high):
-            points.add(endpoint)
-            scaled = endpoint * 38
-            points.add(F(math.floor(scaled), 38))
-            points.add(F(math.ceil(scaled), 38))
-        below = low - min(F(1, 997), low - HALF) / 2
-        if HALF <= below < low:
-            points.add(below)
-        above = high + min(F(1, 997), 1 - high) / 2
-        if high < above <= 1:
-            points.add(above)
+        points.add(low - min(F(1, 997), low - HALF) / 2)
+        points.add(high + min(F(1, 997), 1 - high) / 2)
     return sorted(points)
 
 

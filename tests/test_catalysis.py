@@ -19,6 +19,7 @@ from qcatalyst import (
     epsilon_decompose,
     is_infinite,
     is_valid_catalyst,
+    locc_possible,
     make_spectrum,
     oracle_valid_catalyst,
     partial_sums,
@@ -26,7 +27,7 @@ from qcatalyst import (
     two_qubit_catalyst,
 )
 
-from support import catalyst_params, child_env, star_pairs
+from support import catalyst_params, child_env, spectra, star_pairs
 
 F = Fraction
 
@@ -109,6 +110,30 @@ class TestAnalyze:
         assert report.verdict is Verdict.INFEASIBLE
         assert report.star_violation is StarViolation.EPS1_NEGATIVE
         assert report.m is None and report.M is None
+
+    @given(spectra(), spectra())
+    @settings(max_examples=300)
+    def test_agrees_with_nielsen_on_any_pair(self, source, target):
+        report = analyze(source, target)
+        locc = locc_possible(source, target)
+        assert (report.verdict is Verdict.LOCC_ALREADY_POSSIBLE) == locc
+        decomposition = epsilon_decompose(source, target)
+        if not locc and isinstance(decomposition, StarViolation):
+            assert report.star_violation is decomposition
+
+    def test_rule_is_independent_of_the_referee(self):
+        # The majorization code referees the interval rule (via the oracle),
+        # so the rule must reach its answer without it.
+        import qcatalyst.catalysis as catalysis
+        import qcatalyst.majorization as majorization
+
+        borrowed = [
+            name
+            for name, value in vars(catalysis).items()
+            if value is majorization
+            or getattr(value, "__module__", None) == majorization.__name__
+        ]
+        assert borrowed == []
 
 
 class TestIsValidCatalyst:
@@ -195,17 +220,11 @@ class TestReportInvariants:
     @pytest.mark.parametrize(
         "fields",
         [
-            {"verdict": Verdict.CATALYZABLE, "m": F(2), "M": F(1, 2)},
-            {"verdict": Verdict.CATALYZABLE, "m": F(1, 2), "M": F(2)},
-            {"verdict": Verdict.LOCC_ALREADY_POSSIBLE, "m": F(1, 2), "M": F(2, 3)},
-            {"verdict": Verdict.INFEASIBLE},
-            {"verdict": Verdict.INFEASIBLE, "m": F(1, 2), "M": F(2, 3)},
-            {
-                "verdict": Verdict.INFEASIBLE,
-                "m": F(1),
-                "M": F(1, 4),
-                "star_violation": StarViolation.EPS1_NEGATIVE,
-            },
+            {"m": F(1, 2)},
+            {"M": F(1, 2)},
+            {"m": F(1, 2), "M": F(2)},
+            {"m": F(0), "M": F(1, 2)},
+            {"m": F(1), "M": F(1, 4), "star_violation": StarViolation.EPS1_NEGATIVE},
         ],
     )
     def test_inconsistent_report_rejected(self, fields):
@@ -216,8 +235,8 @@ class TestReportInvariants:
         # assert statements vanish under -O; the invariants must not.
         code = (
             "from fractions import Fraction as F\n"
-            "from qcatalyst import FeasibilityReport, Verdict\n"
-            "FeasibilityReport(Verdict.CATALYZABLE, m=F(2), M=F(1, 2))\n"
+            "from qcatalyst import FeasibilityReport\n"
+            "FeasibilityReport(m=F(1, 2), M=F(2))\n"
         )
         result = subprocess.run(
             [sys.executable, "-O", "-c", code],
@@ -227,7 +246,7 @@ class TestReportInvariants:
             timeout=60,
         )
         assert result.returncode != 0
-        assert "ValueError: inconsistent catalyzable report" in result.stderr
+        assert "ValueError: inconsistent" in result.stderr
 
     @given(star_pairs(), catalyst_params())
     @settings(max_examples=200)

@@ -63,6 +63,12 @@ class TestCheckLocc:
         )
         assert code == 1 and "malformed" in err
 
+    def test_overlong_number_named(self, capsys):
+        source = "0." + "1" * 4301 + ",0.5,0.25,0.25"
+        code, out, err = run(capsys, ["check-locc", "--source", source, "--target", "1,0,0,0"])
+        assert code == 1 and out == ""
+        assert "has a number over 4300 digits" in err and "malformed" not in err
+
     def test_stdin_document(self, capsys, monkeypatch):
         doc = {
             "source": ["0.4", "0.4", "0.1", "0.1"],

@@ -136,6 +136,13 @@ class TestSweepGrid:
         grid = sweep_grid(40, (F(3, 5), F(5, 8)))
         assert grid == sweep_grid(40)
 
+    @given(st.integers(1, 200), catalyst_params(), catalyst_params())
+    def test_same_grid_as_set_and_sort(self, denominator, a, b):
+        interval = (min(a, b), max(a, b))
+        lattice = {F(k, denominator) for k in range(-(-denominator // 2), denominator + 1)}
+        assert sweep_grid(denominator) == sorted(lattice | {F(1, 2)})
+        assert sweep_grid(denominator, interval) == sorted(lattice | {F(1, 2), *interval})
+
     def test_denominator_validation(self):
         with pytest.raises(ValueError, match="positive"):
             sweep_grid(0)

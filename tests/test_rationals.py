@@ -42,6 +42,20 @@ class TestParseRational:
         with pytest.raises(ValueError, match="exceeds 4300"):
             parse_rational(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1" * 4301, id="1...1"),
+            pytest.param("0." + "1" * 4301, id="0.1...1"),
+            pytest.param("9" * 4300 + "/1" + "0" * 4300, id="9...9/10...0"),
+            pytest.param("1_" * 4300 + "1", id="1_1..._1"),
+        ],
+    )
+    def test_digit_bound(self, text):
+        # CPython refuses to read an int of more than 4,300 digits.
+        with pytest.raises(ValueError, match="has a number over 4300 digits"):
+            parse_rational(text)
+
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational("3/0")
