@@ -29,7 +29,6 @@ from .rationals import (
     INFINITY,
     ExtendedRational,
     Rational,
-    is_infinite,
     parse_rational,
     render_decimal,
     render_rational,
@@ -42,7 +41,6 @@ from .spectra import (
     epsilon_decompose,
     make_catalyst,
     make_spectrum,
-    satisfies_star,
     two_qubit_catalyst,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "construct_states",
     "epsilon_decompose",
     "first_violated_index",
-    "is_infinite",
     "is_majorized_by",
     "is_valid_catalyst",
     "locc_possible",
@@ -80,7 +77,6 @@ __all__ = [
     "partial_sums",
     "render_decimal",
     "render_rational",
-    "satisfies_star",
     "sweep",
     "sweep_grid",
     "two_qubit_catalyst",

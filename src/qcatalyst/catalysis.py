@@ -29,6 +29,7 @@ from .spectra import (
     EpsilonTriple,
     Spectrum4,
     StarViolation,
+    _two_qubit_parameter,
     epsilon_decompose,
     two_qubit_catalyst,
 )
@@ -63,12 +64,13 @@ class FeasibilityReport:
     star_violation: Optional[StarViolation] = None
 
     def __post_init__(self) -> None:
-        # Real exceptions, not asserts: the invariants must hold under -O.
+        # Real exceptions, not asserts: the invariants must hold under -O.  Any
+        # valid slack triple gives m > 0 (or +infinity) and 0 <= M < 1.
         m, M, violation = self.m, self.M, self.star_violation
         if m is None or M is None:
             valid = m is None and M is None
         else:
-            valid = violation is None and (m > M or 0 < m <= M <= 1)
+            valid = violation is None and m > 0 and 0 <= M < 1
         if not valid:
             raise ValueError(f"inconsistent report: m={m}, M={M}, star_violation={violation}")
 
@@ -135,7 +137,7 @@ def compute_M(alpha: Spectrum4, eps: EpsilonTriple) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def analyze(source: Spectrum4, target: Spectrum4) -> FeasibilityReport:
     """Full decision: LOCC-possible, catalyzable with interval, or infeasible.
 
@@ -160,14 +162,18 @@ def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:
     is already possible under LOCC (no catalyst is needed, the interval
     machinery does not apply).
     """
-    catalyst = two_qubit_catalyst(p)
+    k, d = _two_qubit_parameter(p)
     report = analyze(source, target)
-    if report.verdict is Verdict.LOCC_ALREADY_POSSIBLE:
+    verdict = report.verdict
+    if verdict is Verdict.LOCC_ALREADY_POSSIBLE:
         raise ValueError(
             "transformation is already possible under LOCC; catalysis does not apply"
         )
-    r = catalyst[1] / catalyst[0]
-    return report.star_violation is None and report.m <= r <= report.M
+    if verdict is Verdict.INFEASIBLE:
+        return False
+    # m <= r = (d-k)/k <= M on ints; both bounds are finite when catalyzable.
+    (m_num, m_den), (M_num, M_den) = report.m.as_integer_ratio(), report.M.as_integer_ratio()
+    return m_num * k <= (d - k) * m_den and (d - k) * M_den <= M_num * k
 
 
 def closed_form_lambda_prime(

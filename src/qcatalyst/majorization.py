@@ -13,17 +13,19 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from .spectra import Spectrum4, _as_fraction
+from .spectra import Spectrum4, _as_fraction, _integer_form
 
 PartialSums = tuple[Fraction, ...]
 
 
-def _checked_values(values: Iterable) -> list[Fraction]:
-    """``values`` as Fractions sorted descending; raises on a negative one."""
-    out = sorted((_as_fraction(v) for v in values), reverse=True)
-    if out and out[-1] < 0:
-        raise ValueError(f"components must be nonnegative, got {out[-1]}")
-    return out
+def _scaled(values: Iterable) -> tuple[list[int], int]:
+    """``values`` as integer numerators over their lcm denominator, sorted
+    descending; raises on a negative component."""
+    nums, den = _integer_form([v if type(v) is Fraction else _as_fraction(v) for v in values])
+    nums.sort(reverse=True)
+    if nums and nums[-1] < 0:
+        raise ValueError(f"components must be nonnegative, got {Fraction(nums[-1], den)}")
+    return nums, den
 
 
 def partial_sums(values: Iterable) -> PartialSums:
@@ -31,7 +33,8 @@ def partial_sums(values: Iterable) -> PartialSums:
 
     Raises ValueError on a negative component.
     """
-    return tuple(accumulate(_checked_values(values)))
+    nums, den = _scaled(values)
+    return tuple([Fraction(total, den) for total in accumulate(nums)])
 
 
 def is_majorized_by(a: Sequence, b: Sequence) -> bool:
@@ -50,14 +53,18 @@ def first_violated_index(a: Sequence, b: Sequence) -> Optional[int]:
 
     Raises ValueError when lengths differ or totals differ.
     """
-    sums_a = tuple(accumulate(_checked_values(a)))
-    sums_b = tuple(accumulate(_checked_values(b)))
-    if len(sums_a) != len(sums_b):
-        raise ValueError(f"length mismatch: {len(sums_a)} vs {len(sums_b)}")
-    if sums_a and sums_a[-1] != sums_b[-1]:
-        raise ValueError(f"total mismatch: {sums_a[-1]} vs {sums_b[-1]}")
+    nums_a, den_a = _scaled(a)
+    nums_b, den_b = _scaled(b)
+    if len(nums_a) != len(nums_b):
+        raise ValueError(f"length mismatch: {len(nums_a)} vs {len(nums_b)}")
+    sums_a, sums_b = list(accumulate(nums_a)), list(accumulate(nums_b))
+    # Partial sums x/den_a and y/den_b compare as x*den_b and y*den_a.
+    if sums_a and sums_a[-1] * den_b != sums_b[-1] * den_a:
+        raise ValueError(
+            f"total mismatch: {Fraction(sums_a[-1], den_a)} vs {Fraction(sums_b[-1], den_b)}"
+        )
     for k, (x, y) in enumerate(zip(sums_a, sums_b), start=1):
-        if x > y:
+        if x * den_b > y * den_a:
             return k
     return None
 

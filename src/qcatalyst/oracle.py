@@ -26,8 +26,10 @@ MAX_GRID_DENOMINATOR = 100_000
 
 
 def augment(state: Spectrum4, catalyst: CatalystSpectrum) -> AugmentedSpectrum:
-    """All products state[i] * catalyst[j], sorted descending."""
-    return tuple(sorted((a * k for a in state for k in catalyst), reverse=True))
+    """All products state[i] * catalyst[j], sorted descending (on the ints)."""
+    (alpha, den_a), (kappa, den_k) = state.scaled, catalyst.scaled
+    products = sorted([a * k for a in alpha for k in kappa], reverse=True)
+    return tuple([Fraction(n, den_a * den_k) for n in products])
 
 
 def oracle_valid_catalyst(

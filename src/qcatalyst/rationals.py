@@ -1,9 +1,10 @@
 """Exact rational scalars: parsing, rendering, and +infinity.
 
-Every quantity in the core math is a ``fractions.Fraction`` (arbitrary
-precision, canonical reduced form, exact comparisons).  Binary floats are
-banned from all computations; they appear nowhere except as the ordering
-sentinel ``INFINITY`` below, which never enters arithmetic.
+Every quantity the package takes or returns is a ``fractions.Fraction``
+(arbitrary precision, canonical reduced form, exact comparisons); the hot
+paths underneath work on integer numerators over a common denominator.
+Binary floats are banned from all computations; they appear nowhere except
+as the ordering sentinel ``INFINITY`` below, which never enters arithmetic.
 """
 from __future__ import annotations
 
@@ -35,11 +36,6 @@ _LONG_NUMBER = r"\d(?:_?\d){%d}" % MAX_DIGITS
 
 # Fractional digits render_decimal writes before it truncates.
 _DECIMAL_DIGITS = 12
-
-
-def is_infinite(value: ExtendedRational) -> bool:
-    """True for the +infinity sentinel, False for any Fraction."""
-    return not isinstance(value, Fraction) and value == INFINITY
 
 
 def parse_rational(text: str) -> Fraction:
@@ -78,7 +74,7 @@ def _int_text(n: int) -> str:
 def render_rational(value: ExtendedRational) -> str:
     """Render as "num/den" (or "inf"); parse_rational round-trips the result
     when both parts fit its input limits."""
-    if is_infinite(value):
+    if value == INFINITY:
         return "inf"
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
@@ -90,7 +86,7 @@ def render_decimal(value: ExtendedRational) -> tuple[str, bool]:
     terminate within 12 fractional digits; the text is then a truncation
     and must be treated as approximate.
     """
-    if is_infinite(value):
+    if value == INFINITY:
         return "inf", True
     num, den = value.numerator, value.denominator
     whole, rem = divmod(abs(num), den)

@@ -21,12 +21,13 @@ coefficient may only shrink.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Union
 
-from .rationals import HALF, Rational, parse_rational
+from .rationals import Rational, parse_rational
 
 
 def _as_fraction(value: Rational | int | str) -> Fraction:
@@ -44,17 +45,34 @@ def _as_fraction(value: Rational | int | str) -> Fraction:
     return Fraction(value)
 
 
-def _check_canonical(values: tuple[Fraction, ...], what: str) -> None:
-    """Raise unless ``values`` are nonnegative Fractions, sorted descending, summing to 1."""
-    if any(not isinstance(v, Fraction) for v in values):
+def _integer_form(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``values`` over their lcm denominator, and that denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _check_canonical(values: tuple[Fraction, ...], what: str) -> tuple[tuple[int, ...], int]:
+    """Raise unless ``values`` are nonnegative Fractions, sorted descending,
+    summing to 1; return their integer form."""
+    if not all([isinstance(v, Fraction) for v in values]):
         raise TypeError(f"{what} components must be Fractions")
-    if any(v < 0 for v in values):
+    nums, den = _integer_form(values)
+    if min(nums) < 0:
         raise ValueError(f"{what} components must be nonnegative")
-    if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
+    if nums != sorted(nums, reverse=True):
         raise ValueError(f"{what} components must be sorted descending")
-    total = sum(values)
-    if total != 1:
-        raise ValueError(f"{what} components must sum to 1, got {total}")
+    if sum(nums) != den:
+        raise ValueError(f"{what} components must sum to 1, got {Fraction(sum(nums), den)}")
+    return tuple(nums), den
+
+
+def _two_qubit_parameter(p: Rational) -> tuple[int, int]:
+    """(k, d) with p = k/d in lowest terms; raises unless 1/2 <= p <= 1."""
+    k, d = _as_fraction(p).as_integer_ratio()
+    if not d <= 2 * k <= 2 * d:
+        raise ValueError(f"two-qubit catalyst parameter must be in [1/2, 1], got {Fraction(k, d)}")
+    return k, d
 
 
 @dataclass(frozen=True)
@@ -62,11 +80,16 @@ class Spectrum4:
     """Canonical four-component Schmidt spectrum (sorted descending, sum 1)."""
 
     alpha: tuple[Fraction, Fraction, Fraction, Fraction]
+    # Not compared: equal spectra have equal integer forms, so it is hashed instead.
+    scaled: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.alpha) != 4:
             raise ValueError(f"spectrum needs exactly 4 components, got {len(self.alpha)}")
-        _check_canonical(self.alpha, "spectrum")
+        object.__setattr__(self, "scaled", _check_canonical(self.alpha, "spectrum"))
+
+    def __hash__(self) -> int:
+        return hash(self.scaled)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.alpha)
@@ -80,11 +103,12 @@ class CatalystSpectrum:
     """Canonical catalyst spectrum: n >= 1 components, sorted descending, sum 1."""
 
     kappa: tuple[Fraction, ...]
+    scaled: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.kappa) < 1:
             raise ValueError("catalyst needs at least one component")
-        _check_canonical(self.kappa, "catalyst")
+        object.__setattr__(self, "scaled", _check_canonical(self.kappa, "catalyst"))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.kappa)
@@ -146,10 +170,8 @@ def two_qubit_catalyst(p: Rational) -> CatalystSpectrum:
 
     Raises ValueError when p is outside [1/2, 1].
     """
-    p = _as_fraction(p)
-    if not HALF <= p <= 1:
-        raise ValueError(f"two-qubit catalyst parameter must be in [1/2, 1], got {p}")
-    return CatalystSpectrum((p, 1 - p))
+    k, d = _two_qubit_parameter(p)
+    return CatalystSpectrum((Fraction(k, d), Fraction(d - k, d)))
 
 
 def epsilon_decompose(
@@ -171,16 +193,3 @@ def epsilon_decompose(
     if eps3 < 0:
         return StarViolation.EPS3_NEGATIVE
     return EpsilonTriple(eps1, eps2, eps3)
-
-
-def satisfies_star(source: Spectrum4, target: Spectrum4) -> bool:
-    """True iff the star pattern holds between the two canonical spectra.
-
-    Checked directly on the spectra (not via epsilon_decompose) so the two
-    formulations can be tested against each other.
-    """
-    return (
-        source[0] <= target[0]
-        and source[0] + source[1] > target[0] + target[1]
-        and source[3] >= target[3]
-    )

@@ -86,6 +86,19 @@ def random_star_pair(
         return _pair_from_integers(parts, e1, e2, e3, d)
 
 
+def satisfies_star(source: Spectrum4, target: Spectrum4) -> bool:
+    """True iff the star pattern holds between the two canonical spectra.
+
+    Checked directly on the spectra (not via epsilon_decompose) so the two
+    formulations can be tested against each other.
+    """
+    return (
+        source[0] <= target[0]
+        and source[0] + source[1] > target[0] + target[1]
+        and source[3] >= target[3]
+    )
+
+
 @st.composite
 def spectra(draw, max_denominator: int = 48) -> Spectrum4:
     d = draw(st.integers(4, max_denominator))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from qcatalyst import (
     DegenerateSpectrumError,
     EpsilonTriple,
+    INFINITY,
     FeasibilityReport,
     Spectrum4,
     StarViolation,
@@ -17,7 +18,6 @@ from qcatalyst import (
     compute_M,
     compute_m,
     epsilon_decompose,
-    is_infinite,
     is_valid_catalyst,
     locc_possible,
     make_spectrum,
@@ -52,7 +52,7 @@ class TestComputeBounds:
 
     def test_zero_eps1_gives_infinity(self):
         eps = EpsilonTriple(F(0), F(1, 20), F(1, 20))
-        assert is_infinite(compute_m(HARD_SOURCE, eps))
+        assert compute_m(HARD_SOURCE, eps) == INFINITY
 
     def test_zero_eps3_gives_zero_upper_bound(self):
         source = make_spectrum(["0.4", "0.4", "0.1", "0.1"])
@@ -73,7 +73,7 @@ class TestComputeBounds:
     def test_vanishing_tail_with_zero_eps1(self):
         alpha = make_spectrum(["0.5", "0.5", "0", "0"])
         eps = EpsilonTriple(F(0), F(1, 10), F(0))
-        assert is_infinite(compute_m(alpha, eps))
+        assert compute_m(alpha, eps) == INFINITY
 
     def test_degenerate_second_coefficient(self):
         alpha = make_spectrum(["0.7", "0.1", "0.1", "0.1"])
@@ -121,6 +121,16 @@ class TestAnalyze:
         if not locc and isinstance(decomposition, StarViolation):
             assert report.star_violation is decomposition
 
+    def test_equal_spectra_share_one_cache_entry(self):
+        decimal = make_spectrum(["0.5", "0.25", "0.25", "0"])
+        ratio = make_spectrum(["1/2", "1/4", "1/4", "0"])
+        assert decimal == ratio and hash(decimal) == hash(ratio)
+        analyze.cache_clear()
+        first = analyze(CAT_SOURCE, decimal)
+        assert analyze(CAT_SOURCE, ratio) is first
+        info = analyze.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
     def test_rule_is_independent_of_the_referee(self):
         # The majorization code referees the interval rule (via the oracle),
         # so the rule must reach its answer without it.
@@ -166,6 +176,24 @@ class TestIsValidCatalyst:
     def test_locc_possible_pair_rejected(self):
         with pytest.raises(ValueError, match="already possible"):
             is_valid_catalyst(CAT_SOURCE, CAT_SOURCE, F(3, 5))
+
+    @given(star_pairs())
+    def test_domain_ends_match_the_oracle(self, pair):
+        # p = 1/2 is ratio 1 and p = 1 is ratio 0, both outside every [m, M].
+        source, target = pair
+        for p in (F(1, 2), F(1)):
+            expected = oracle_valid_catalyst(source, target, two_qubit_catalyst(p))
+            assert is_valid_catalyst(source, target, p) is expected is False
+
+    @pytest.mark.parametrize("p", [F(3, 2), "3/2"])
+    def test_p_out_of_range_message(self, p):
+        message = "two-qubit catalyst parameter must be in [1/2, 1], got 3/2"
+        with pytest.raises(ValueError) as raised:
+            is_valid_catalyst(CAT_SOURCE, CAT_TARGET, p)
+        assert str(raised.value) == message
+        # The range is checked before the pair: a LOCC pair gets the same error.
+        with pytest.raises(ValueError, match=r"\[1/2, 1\], got 3/2"):
+            is_valid_catalyst(CAT_SOURCE, CAT_SOURCE, p)
 
 
 class TestClosedFormLambdaPrime:
@@ -225,6 +253,10 @@ class TestReportInvariants:
             {"m": F(1, 2), "M": F(2)},
             {"m": F(0), "M": F(1, 2)},
             {"m": F(1), "M": F(1, 4), "star_violation": StarViolation.EPS1_NEGATIVE},
+            # m > M, but no slack triple gives a negative M, m <= 0 or M >= 1.
+            {"m": F(1, 2), "M": F(-1)},
+            {"m": F(-5), "M": F(-6)},
+            {"m": INFINITY, "M": F(5)},
         ],
     )
     def test_inconsistent_report_rejected(self, fields):
@@ -237,6 +269,22 @@ class TestReportInvariants:
             "from fractions import Fraction as F\n"
             "from qcatalyst import FeasibilityReport\n"
             "FeasibilityReport(m=F(1, 2), M=F(2))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode != 0
+        assert "ValueError: inconsistent" in result.stderr
+
+    def test_impossible_bounds_rejected_under_optimize(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from qcatalyst import FeasibilityReport\n"
+            "FeasibilityReport(m=F(1, 2), M=F(-1))\n"
         )
         result = subprocess.run(
             [sys.executable, "-O", "-c", code],
@@ -282,7 +330,7 @@ class TestNecessityOfSlack:
         )
         report = analyze(source, adjusted)
         assert report.verdict is Verdict.INFEASIBLE
-        assert is_infinite(report.m)
+        assert report.m == INFINITY
 
     @given(star_pairs())
     def test_zero_eps3_means_infeasible(self, pair):

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcatalyst import (
@@ -164,3 +165,87 @@ class TestLorenzPoints:
         increments = [b - a for a, b in zip(heights, heights[1:])]
         assert increments == sorted(increments, reverse=True)
         assert increments == sorted(s.alpha, reverse=True)
+
+
+def _reference_sums(values) -> tuple[Fraction, ...]:
+    """Partial sums walked in plain Fractions, as the definition reads."""
+    ordered = sorted((F(v) for v in values), reverse=True)
+    if ordered and ordered[-1] < 0:
+        raise ValueError(f"components must be nonnegative, got {ordered[-1]}")
+    return tuple(accumulate(ordered))
+
+
+def _reference_first_violated(a, b):
+    sums_a, sums_b = _reference_sums(a), _reference_sums(b)
+    if len(sums_a) != len(sums_b):
+        raise ValueError(f"length mismatch: {len(sums_a)} vs {len(sums_b)}")
+    if sums_a and sums_a[-1] != sums_b[-1]:
+        raise ValueError(f"total mismatch: {sums_a[-1]} vs {sums_b[-1]}")
+    for k, (x, y) in enumerate(zip(sums_a, sums_b), start=1):
+        if x > y:
+            return k
+    return None
+
+
+def _outcome(fn, *args):
+    """The result, or the type and message of what ``fn`` raised."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Denominators up to 10**7 (coprime ones included), a few negative numerators
+# and plain ints, so both the lcm scaling and every error path are reached.
+_COMPONENT = st.one_of(
+    st.builds(F, st.integers(-10**5, 10**8), st.integers(1, 10**7)),
+    st.builds(F, st.integers(0, 60), st.integers(1, 60)),
+    st.integers(0, 2),
+)
+
+
+@st.composite
+def vector_pairs(draw):
+    """(a, b): b moves mass of a around (equal totals), or is drawn freely
+    (total and length mismatches)."""
+    a = draw(st.lists(_COMPONENT, max_size=8))
+    if draw(st.booleans()):
+        return a, draw(st.lists(_COMPONENT, max_size=8))
+    b = [F(x) for x in a]
+    for _ in range(draw(st.integers(0, 4)) if b else 0):
+        i = draw(st.integers(0, len(b) - 1))
+        j = draw(st.integers(0, len(b) - 1))
+        share = F(draw(st.integers(0, 10**6)), 10**6 + draw(st.integers(0, 7)))
+        amount = b[i] * share
+        b[i] -= amount
+        b[j] += amount
+    return a, draw(st.permutations(b))
+
+
+class TestAgainstFractionReference:
+    @given(st.lists(_COMPONENT, max_size=8))
+    @settings(max_examples=300)
+    def test_partial_sums(self, values):
+        assert _outcome(partial_sums, values) == _outcome(_reference_sums, values)
+
+    @given(vector_pairs())
+    @settings(max_examples=400)
+    def test_first_violated_index(self, pair):
+        a, b = pair
+        expected = _outcome(_reference_first_violated, a, b)
+        assert _outcome(first_violated_index, a, b) == expected
+        if not isinstance(expected, tuple):
+            assert is_majorized_by(a, b) == (expected is None)
+
+    @pytest.mark.parametrize(
+        "a,b,message",
+        [
+            ([F(-1, 10**7), F(1)], [F(1), F(0)], "components must be nonnegative, got -1/10000000"),
+            ([F(1)], [F(3, 2), F(-1, 2)], "components must be nonnegative, got -1/2"),
+            ([F(1, 3), F(2, 3)], [F(1)], "length mismatch: 2 vs 1"),
+            ([F(1, 999983), F(0)], [F(1, 1000003), F(0)],
+             "total mismatch: 1/999983 vs 1/1000003"),
+        ],
+    )
+    def test_messages(self, a, b, message):
+        assert _outcome(first_violated_index, a, b) == (ValueError, message)

@@ -48,6 +48,16 @@ class TestAugment:
         assert list(products) == sorted(products, reverse=True)
         assert sum(products) == 1
 
+    @given(spectra(), st.lists(st.integers(0, 10**7), min_size=1, max_size=5))
+    def test_equals_sorted_fraction_products(self, state, weights):
+        # Catalysts of any length, with denominators up to 5 * 10**7.
+        total = sum(weights) or 1
+        weights[0] += total - sum(weights)
+        catalyst = make_catalyst(F(w, total) for w in weights)
+        expected = sorted((a * k for a in state.alpha for k in catalyst.kappa), reverse=True)
+        assert augment(state, catalyst) == tuple(expected)
+        assert all(type(x) is F for x in augment(state, catalyst))
+
 
 class TestOracleValidCatalyst:
     def test_worked_example(self):

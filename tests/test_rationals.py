@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qcatalyst import (
     INFINITY,
-    is_infinite,
     parse_rational,
     render_decimal,
     render_rational,
@@ -106,5 +105,8 @@ class TestOrdering:
         assert not INFINITY < x
 
     def test_is_infinite(self):
-        assert is_infinite(INFINITY)
-        assert not is_infinite(Fraction(10**30))
+        # INFINITY is the one non-Fraction ExtendedRational; no Fraction equals it.
+        assert not isinstance(INFINITY, Fraction)
+        assert Fraction(10**30) != INFINITY
+        assert render_rational(INFINITY) == "inf"
+        assert render_decimal(INFINITY) == ("inf", True)

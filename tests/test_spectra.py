@@ -12,11 +12,10 @@ from qcatalyst import (
     is_majorized_by,
     make_catalyst,
     make_spectrum,
-    satisfies_star,
     two_qubit_catalyst,
 )
 
-from support import spectra, star_pairs
+from support import satisfies_star, spectra, star_pairs
 
 CAT_SOURCE = make_spectrum(["0.4", "0.4", "0.1", "0.1"])
 CAT_TARGET = make_spectrum(["0.5", "0.25", "0.25", "0"])
