@@ -21,7 +21,7 @@ PartialSums = tuple[Fraction, ...]
 def _scaled(values: Iterable) -> tuple[list[int], int]:
     """``values`` as integer numerators over their lcm denominator, sorted
     descending; raises on a negative component."""
-    nums, den = _integer_form([v if type(v) is Fraction else _as_fraction(v) for v in values])
+    nums, den = _integer_form([_as_fraction(v) for v in values])
     nums.sort(reverse=True)
     if nums and nums[-1] < 0:
         raise ValueError(f"components must be nonnegative, got {Fraction(nums[-1], den)}")
