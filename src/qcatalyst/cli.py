@@ -16,6 +16,7 @@ disagree, which indicates a bug, never a valid state).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -86,9 +87,10 @@ def _spectrum(values, label: str) -> Spectrum4:
 
 
 def _load_document() -> dict:
-    if sys.stdin.isatty():
+    if sys.stdin is None or sys.stdin.isatty():
+        state = "closed" if sys.stdin is None else "a terminal"
         raise InputError(
-            "missing flags and standard input is a terminal; "
+            f"missing flags and standard input is {state}; "
             "pass flags or pipe a JSON request document"
         )
     try:
@@ -97,6 +99,8 @@ def _load_document() -> dict:
         document = json.load(sys.stdin, parse_float=str)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON request document: {exc}") from None
+    except RecursionError:
+        raise InputError("invalid JSON request document: nested too deeply") from None
     if not isinstance(document, dict):
         raise InputError("request document must be a JSON object")
     return document
@@ -257,7 +261,9 @@ def _csv_list(text: str) -> list[str]:
     return text.split(",")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first call and shared by every later one."""
     parser = _Parser(
         prog="qcatalyst",
         description=(

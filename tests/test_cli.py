@@ -455,3 +455,65 @@ class TestUsageErrors:
     def test_missing_command(self, capsys):
         code, _, err = run(capsys, [])
         assert code == 1 and err != ""
+
+
+class TestStdinDocument:
+    def test_closed_stdin_is_input_error(self, capsys, monkeypatch):
+        # With file descriptor 0 closed (`qcatalyst analyze <&-`) Python sets sys.stdin to None.
+        monkeypatch.setattr(sys, "stdin", None)
+        code, out, err = run(capsys, ["analyze"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: missing flags") and "Traceback" not in err
+
+    def test_deeply_nested_document_is_input_error(self, capsys, monkeypatch):
+        stdin = "[" * 200_000 + "]" * 200_000
+        code, out, err = run(capsys, ["analyze"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: invalid JSON request document: nested too deeply\n"
+
+
+HELP_GOLDEN = json.loads((Path(__file__).with_name("cli_help_golden.json")).read_text())
+
+
+@pytest.mark.parametrize("case", HELP_GOLDEN, ids=[" ".join(c["argv"]) for c in HELP_GOLDEN])
+def test_help_byte_identical(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        cli.main(case["argv"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+class TestSharedParser:
+    FAILING = (
+        (["frobnicate"], "invalid choice"),
+        (["analyze", "--source", "0.4,0.4,0.1,0.1"], "both --source and --target"),
+        (["check-locc", "--source", "a,b,c,d", "--target", "0.5,0.25,0.25,0"], "malformed"),
+    )
+
+    def test_reuse_carries_no_state(self, capsys, monkeypatch):
+        for case in GOLDEN + GOLDEN[::-1]:
+            for argv, message in self.FAILING:
+                code, out, err = run(capsys, argv)
+                assert code == 1 and out == "" and message in err
+            code, out, _ = run(capsys, case["argv"], stdin=case["stdin"], monkeypatch=monkeypatch)
+            assert (code, out) == (case["exit_code"], case["stdout"])
+
+    def test_import_builds_no_parser(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import qcatalyst.cli as cli; print(cli._build_parser.cache_info().currsize)"],
+            capture_output=True,
+            env=child_env(),
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+    def test_second_call_reuses_the_parser(self, capsys):
+        cli._build_parser.cache_clear()
+        run(capsys, ["analyze", *CATALYZABLE])
+        first = cli._build_parser()
+        run(capsys, ["check-locc", *CATALYZABLE])
+        assert cli._build_parser() is first
+        assert cli._build_parser.cache_info().misses == 1

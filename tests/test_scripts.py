@@ -25,3 +25,13 @@ def test_agreement_experiment():
     result = run_script("agreement_experiment.py", "--pairs", "200")
     assert result.returncode == 0, result.stderr
     assert "disagreements: 0" in result.stdout
+
+
+def test_cli_fingerprint():
+    result = run_script(
+        "cli_fingerprint.py", "--requests", "30", "--sweep-calls", "2", "--seeds", "1", "2"
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "calls: 64"
+    assert lines[1].startswith("sha256: ") and len(lines[1]) == len("sha256: ") + 64
