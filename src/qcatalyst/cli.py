@@ -263,7 +263,6 @@ def _csv_list(text: str) -> list[str]:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The argparse tree, built on the first call and shared by every later one."""
     parser = _Parser(
         prog="qcatalyst",
         description=(
