@@ -24,7 +24,7 @@ from .majorization import (
     lorenz_points,
     partial_sums,
 )
-from .oracle import augment, oracle_valid_catalyst, sweep, sweep_grid
+from .oracle import augment, feasible_p_set, oracle_valid_catalyst, sweep, sweep_grid
 from .rationals import (
     INFINITY,
     ExtendedRational,
@@ -64,6 +64,7 @@ __all__ = [
     "compute_m",
     "construct_states",
     "epsilon_decompose",
+    "feasible_p_set",
     "first_violated_index",
     "is_majorized_by",
     "is_valid_catalyst",

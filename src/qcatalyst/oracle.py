@@ -6,22 +6,41 @@ augmented source spectrum is majorized by the augmented target spectrum.
 Nothing here knows about the ratio-interval theorem, which is the point:
 this module is the independent referee the interval machinery is validated
 against.
+
+For the two-qubit catalyst (p, 1-p) the referee's whole answer is a finite
+set of closed intervals, found exactly.  The descending order of the eight
+products x*p and x*(1-p) changes only where x*p = y*(1-p), at p = y/(x+y)
+for two components x, y of the same spectrum.  Between consecutive such
+breakpoints the order is fixed, so every sorted partial sum, and every
+target-minus-source difference of them, is linear in p.  Evaluating the
+differences at the breakpoints and solving the linear inequalities on each
+cell gives the feasible set without trusting any formula for m or M.
 """
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .majorization import is_majorized_by
+from .majorization import is_majorized_by, partial_sums
 from .rationals import HALF
-from .spectra import CatalystSpectrum, Spectrum4, two_qubit_catalyst
+from .spectra import (
+    CatalystSpectrum,
+    Spectrum4,
+    _as_fraction,
+    _two_qubit_parameter,
+    two_qubit_catalyst,
+)
 
 # 4n products of state and catalyst coefficients, sorted descending.
 AugmentedSpectrum = tuple[Fraction, ...]
 
-# Largest grid denominator sweep_grid accepts; d = 100,000 already takes
-# seconds to sweep, and the grid holds d/2 Fractions.
+# Sorted disjoint closed intervals (lo, hi) of p; lo == hi for a lone point.
+PSet = tuple[tuple[Fraction, Fraction], ...]
+
+# Largest grid denominator sweep_grid accepts.  The grid holds d/2 Fractions;
+# a CLI sweep at d = 100,000 takes about 1 s (CPython 3.11.7, x86_64), nearly
+# all of it building the grid and rendering its rows.
 MAX_GRID_DENOMINATOR = 100_000
 
 
@@ -43,15 +62,85 @@ def oracle_valid_catalyst(
     return is_majorized_by(augment(source, catalyst), augment(target, catalyst))
 
 
+def _crossings(state: Spectrum4) -> set[Fraction]:
+    """The p in (1/2, 1) where a product x*p meets a product y*(1-p)."""
+    nums = state.scaled[0]
+    return {Fraction(y, x + y) for x in nums for y in nums if 0 < x < y}
+
+
+def _sum_gaps(source: Spectrum4, target: Spectrum4, p: Fraction) -> list[Fraction]:
+    """Target minus source partial sums of the spectra augmented by (p, 1-p);
+    the oracle accepts p exactly when none is negative."""
+    catalyst = two_qubit_catalyst(p)
+    return [
+        t - s
+        for s, t in zip(
+            partial_sums(augment(source, catalyst)), partial_sums(augment(target, catalyst))
+        )
+    ]
+
+
+def _cell_part(
+    a: Fraction, b: Fraction, gaps_a: list[Fraction], gaps_b: list[Fraction]
+) -> Optional[tuple[Fraction, Fraction]]:
+    """The closed part of the cell [a, b] where every gap, linear on it and
+    valued gaps_a at a and gaps_b at b, is nonnegative; None if empty."""
+    lo, hi = a, b
+    for x, y in zip(gaps_a, gaps_b):
+        if x < 0 and y < 0:
+            return None
+        if (x < 0) != (y < 0):
+            # The gap x + (y - x)(p - a)/(b - a) crosses zero here.
+            root = a + (b - a) * x / (x - y)
+            if x < 0:
+                lo = max(lo, root)
+            else:
+                hi = min(hi, root)
+    return (lo, hi) if lo <= hi else None
+
+
+def feasible_p_set(source: Spectrum4, target: Spectrum4) -> PSet:
+    """Every p in [1/2, 1] at which oracle_valid_catalyst accepts (p, 1-p).
+
+    Returns sorted, disjoint closed intervals (lo, hi), with lo == hi for an
+    isolated point, and () when no two-qubit catalyst helps.  Exact: each
+    partial-sum gap is linear between consecutive crossings (see the module
+    docstring), so on each cell its sign follows from its values at the
+    cell's two ends.
+    """
+    points = sorted(_crossings(source) | _crossings(target) | {HALF, Fraction(1)})
+    gaps = [_sum_gaps(source, target, p) for p in points]
+    pieces: list[tuple[Fraction, Fraction]] = []
+    for cell in zip(points, points[1:], gaps, gaps[1:]):
+        part = _cell_part(*cell)
+        if part is None:
+            continue
+        if pieces and pieces[-1][1] == part[0]:
+            pieces[-1] = (pieces[-1][0], part[1])
+        else:
+            pieces.append(part)
+    return tuple(pieces)
+
+
 def sweep(
     source: Spectrum4, target: Spectrum4, grid: Sequence[Fraction]
 ) -> list[tuple[Fraction, bool]]:
     """Oracle verdicts for the two-qubit catalyst (p, 1-p) at each grid p.
 
-    Results come back in grid order.  Raises ValueError for a grid value
-    outside [1/2, 1].
+    Each verdict is membership in feasible_p_set(source, target), computed
+    once per call, so it equals oracle_valid_catalyst at that p.  Results
+    come back in grid order, each with p as given; the grid may be in any
+    order.  Raises ValueError for a grid value outside [1/2, 1].
     """
-    return [(p, oracle_valid_catalyst(source, target, two_qubit_catalyst(p))) for p in grid]
+    pieces = feasible_p_set(source, target)
+    highs = [hi for _, hi in pieces]
+    rows = []
+    for p in grid:
+        value = _as_fraction(p)
+        _two_qubit_parameter(value)  # raises outside [1/2, 1]
+        i = bisect_left(highs, value)
+        rows.append((p, i < len(pieces) and pieces[i][0] <= value))
+    return rows
 
 
 def sweep_grid(

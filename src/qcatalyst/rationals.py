@@ -74,7 +74,9 @@ def _int_text(n: int) -> str:
 def render_rational(value: ExtendedRational) -> str:
     """Render as "num/den" (or "inf"); parse_rational round-trips the result
     when both parts fit its input limits."""
-    if value == INFINITY:
+    # A Fraction is never infinite; testing the type first skips the slow
+    # Fraction == float comparison on every finite value.
+    if not isinstance(value, Fraction) and value == INFINITY:
         return "inf"
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
@@ -86,7 +88,7 @@ def render_decimal(value: ExtendedRational) -> tuple[str, bool]:
     terminate within 12 fractional digits; the text is then a truncation
     and must be treated as approximate.
     """
-    if value == INFINITY:
+    if not isinstance(value, Fraction) and value == INFINITY:
         return "inf", True
     num, den = value.numerator, value.denominator
     whole, rem = divmod(abs(num), den)

@@ -99,6 +99,23 @@ def satisfies_star(source: Spectrum4, target: Spectrum4) -> bool:
     )
 
 
+def power_sums_allow_catalysis(source: Spectrum4, target: Spectrum4) -> bool:
+    """Necessary conditions for source -> target with a catalyst of any size.
+
+    If source (x) c is majorized by target (x) c, then sum(source_i**k) <=
+    sum(target_i**k) for every integer k >= 2 (x**k is convex, and power sums
+    multiply under the tensor product), and rank(source) >= rank(target).
+    Computed from the spectra alone, with no call into catalysis or
+    majorization, so it referees both.
+    """
+    def rank(state: Spectrum4) -> int:
+        return sum(1 for x in state if x != 0)
+
+    return rank(source) >= rank(target) and all(
+        sum(x**k for x in source) <= sum(x**k for x in target) for k in range(2, 9)
+    )
+
+
 @st.composite
 def spectra(draw, max_denominator: int = 48) -> Spectrum4:
     d = draw(st.integers(4, max_denominator))
@@ -108,7 +125,11 @@ def spectra(draw, max_denominator: int = 48) -> Spectrum4:
 
 
 @st.composite
-def star_pairs(draw, max_denominator: int = 48) -> tuple[Spectrum4, Spectrum4]:
+def star_pairs(
+    draw, max_denominator: int = 48, feasible_leaning: bool = False
+) -> tuple[Spectrum4, Spectrum4]:
+    """Hypothesis counterpart of random_star_pair, with the same
+    ``feasible_leaning`` draw."""
     d = draw(st.integers(8, max_denominator))
     cuts = sorted(draw(st.integers(0, d)) for _ in range(3))
     parts = tuple(
@@ -116,9 +137,15 @@ def star_pairs(draw, max_denominator: int = 48) -> tuple[Spectrum4, Spectrum4]:
     )
     budget = parts[1] - parts[2]
     assume(budget >= 2)
-    e2 = draw(st.integers(1, budget // 2))
-    e1 = draw(st.integers(0, budget - 2 * e2))
-    e3 = draw(st.integers(0, min(parts[3], budget - 2 * e2 - e1)))
+    if feasible_leaning:
+        e2 = 1
+        e1 = draw(st.integers((budget - 2) // 2, budget - 2))
+        e3_cap = min(parts[3], budget - 2 - e1)
+        e3 = draw(st.integers((e3_cap + 1) // 2, e3_cap))
+    else:
+        e2 = draw(st.integers(1, budget // 2))
+        e1 = draw(st.integers(0, budget - 2 * e2))
+        e3 = draw(st.integers(0, min(parts[3], budget - 2 * e2 - e1)))
     return _pair_from_integers(parts, e1, e2, e3, d)
 
 

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcatalyst import (
+    Verdict,
     analyze,
     augment,
+    construct_states,
+    feasible_p_set,
     is_majorized_by,
     locc_possible,
     make_catalyst,
@@ -17,7 +20,7 @@ from qcatalyst import (
     two_qubit_catalyst,
 )
 
-from support import catalyst_params, spectra, star_pairs
+from support import catalyst_params, power_sums_allow_catalysis, spectra, star_pairs
 
 F = Fraction
 
@@ -94,6 +97,90 @@ class TestOracleValidCatalyst:
         )
 
 
+@st.composite
+def constructed_pairs(draw):
+    """Catalyzable pairs with bounds (m0, M0), built by construct_states."""
+    big_m0 = draw(st.fractions(F(1, 50), F(49, 50), max_denominator=50))
+    m0 = draw(st.fractions(F(1, 50), big_m0, max_denominator=50))
+    result = construct_states(m0, big_m0)
+    return result.source, result.target
+
+
+# Pairs that often reach the catalyzable regime, which arbitrary pairs rarely do.
+catalyzable_leaning = st.one_of(star_pairs(feasible_leaning=True), constructed_pairs())
+any_pairs = st.one_of(st.tuples(spectra(), spectra()), star_pairs(), catalyzable_leaning)
+
+
+def crossings(state):
+    """Every p = y/(x+y) in [1/2, 1] for components x, y of the spectrum."""
+    return {y / (x + y) for x in state for y in state if x + y and x <= y}
+
+
+def implied_p_set(source, target):
+    """The p-set the interval rule's verdict implies."""
+    report = analyze(source, target)
+    return {
+        Verdict.LOCC_ALREADY_POSSIBLE: ((F(1, 2), F(1)),),
+        Verdict.CATALYZABLE: (report.p_interval,),
+        Verdict.INFEASIBLE: (),
+    }[report.verdict]
+
+
+def in_p_set(pieces, p) -> bool:
+    return any(lo <= p <= hi for lo, hi in pieces)
+
+
+class TestFeasiblePSet:
+    def test_worked_example(self):
+        assert feasible_p_set(CAT_SOURCE, CAT_TARGET) == ((F(3, 5), F(5, 8)),)
+
+    def test_infeasible_pair_is_empty(self):
+        assert feasible_p_set(HARD_SOURCE, HARD_TARGET) == ()
+
+    def test_locc_pair_is_whole_range(self):
+        source = make_spectrum([F(1, 4)] * 4)
+        assert feasible_p_set(source, CAT_TARGET) == ((F(1, 2), F(1)),)
+
+    def test_isolated_point(self):
+        # m = M = 1/3 leaves the single catalyst p = 1/(1 + 1/3).
+        pair = construct_states(F(1, 3), F(1, 3))
+        assert feasible_p_set(pair.source, pair.target) == ((F(3, 4), F(3, 4)),)
+
+    @given(spectra(), spectra())
+    @settings(max_examples=300)
+    def test_equals_what_analyze_implies(self, source, target):
+        assert feasible_p_set(source, target) == implied_p_set(source, target)
+
+    @given(catalyzable_leaning)
+    @settings(max_examples=150)
+    def test_equals_the_p_interval_near_catalysis(self, pair):
+        assert feasible_p_set(*pair) == implied_p_set(*pair)
+
+    @given(any_pairs, st.lists(catalyst_params(1000), max_size=5))
+    @settings(max_examples=150)
+    def test_membership_is_the_oracle_verdict(self, pair, random_ps):
+        source, target = pair
+        pieces = feasible_p_set(source, target)
+        assert list(pieces) == sorted(pieces)
+        assert all(lo <= hi for lo, hi in pieces)
+        assert all(a[1] < b[0] for a, b in zip(pieces, pieces[1:]))
+        just = F(1, 10**9)
+        points = {*random_ps, *crossings(source), *crossings(target)}
+        for lo, hi in pieces:
+            points |= {lo, hi, lo - just, hi + just}
+        for p in points:
+            if F(1, 2) <= p <= 1:
+                catalyst = two_qubit_catalyst(p)
+                assert in_p_set(pieces, p) == oracle_valid_catalyst(source, target, catalyst)
+
+    @given(any_pairs)
+    @settings(max_examples=300)
+    def test_power_sums_referee_catalyzable_pairs(self, pair):
+        source, target = pair
+        if not locc_possible(source, target) and feasible_p_set(source, target):
+            assert power_sums_allow_catalysis(source, target)
+
+
 class TestSweep:
     def test_worked_example_grid(self):
         grid = [F(1, 2), F(3, 5), F(5, 8), F(2, 3), F(3, 4)]
@@ -117,6 +204,31 @@ class TestSweep:
     def test_out_of_range_grid_value(self):
         with pytest.raises(ValueError, match=r"\[1/2, 1\]"):
             sweep(CAT_SOURCE, CAT_TARGET, [F(1, 4)])
+
+    @pytest.mark.parametrize("p", [F(1, 4), F(11, 10), "0.3", 2])
+    def test_out_of_range_message(self, p):
+        with pytest.raises(ValueError, match=r"must be in \[1/2, 1\], got "):
+            sweep(CAT_SOURCE, CAT_TARGET, [F(3, 5), p])
+
+    def test_strings_and_ints_keep_their_form(self):
+        grid = ["0.6", "5/8", 1, "0.5", F(3, 5)]
+        assert sweep(CAT_SOURCE, CAT_TARGET, grid) == [
+            ("0.6", True),
+            ("5/8", True),
+            (1, False),
+            ("0.5", False),
+            (F(3, 5), True),
+        ]
+
+    @given(any_pairs, st.randoms(use_true_random=False))
+    @settings(max_examples=80)
+    def test_shuffled_grid_matches_the_oracle(self, pair, rng):
+        source, target = pair
+        grid = sweep_grid(30, analyze(source, target).p_interval)
+        rng.shuffle(grid)
+        assert sweep(source, target, grid) == [
+            (p, oracle_valid_catalyst(source, target, two_qubit_catalyst(p))) for p in grid
+        ]
 
     @given(star_pairs())
     @settings(max_examples=60)
