@@ -9,40 +9,24 @@ expected output is zero.
 """
 import argparse
 import random
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
-from qcatalyst import (
+# The pair generator is the test suite's, so both draw the same pairs.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from qcatalyst import (  # noqa: E402
     Verdict,
     analyze,
     is_valid_catalyst,
-    make_spectrum,
     oracle_valid_catalyst,
     sweep_grid,
     two_qubit_catalyst,
 )
-from qcatalyst.rationals import HALF
-
-
-def random_pair(rng, max_denominator):
-    while True:
-        d = rng.randint(8, max_denominator)
-        cuts = sorted(rng.randint(0, d) for _ in range(3))
-        parts = sorted(
-            (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], d - cuts[2]), reverse=True
-        )
-        a1, a2, a3, a4 = parts
-        budget = a2 - a3
-        if budget < 2:
-            continue
-        e2 = rng.randint(1, budget // 2)
-        e1 = rng.randint(0, budget - 2 * e2)
-        e3 = rng.randint(0, min(a4, budget - 2 * e2 - e1))
-        source = make_spectrum(F(x, d) for x in parts)
-        target = make_spectrum(
-            F(x, d) for x in (a1 + e1, a2 - e1 - e2, a3 + e2 + e3, a4 - e3)
-        )
-        return source, target
+from qcatalyst.rationals import HALF  # noqa: E402
+from support import random_star_pair  # noqa: E402
 
 
 def p_grid(report, lattice_denominator):
@@ -67,7 +51,7 @@ def main():
     checks = disagreements = 0
     started = time.perf_counter()
     for _ in range(args.pairs):
-        source, target = random_pair(rng, args.max_denominator)
+        source, target = random_star_pair(rng, args.max_denominator)
         report = analyze(source, target)
         verdicts[report.verdict] += 1
         for p in p_grid(report, args.grid_denominator):

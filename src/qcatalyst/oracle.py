@@ -18,19 +18,14 @@ cell gives the feasible set without trusting any formula for m or M.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .majorization import is_majorized_by, partial_sums
+from .majorization import is_majorized_by
 from .rationals import HALF
-from .spectra import (
-    CatalystSpectrum,
-    Spectrum4,
-    _as_fraction,
-    _two_qubit_parameter,
-    two_qubit_catalyst,
-)
+from .spectra import CatalystSpectrum, Spectrum4, _two_qubit_parameter
 
 # 4n products of state and catalyst coefficients, sorted descending.
 AugmentedSpectrum = tuple[Fraction, ...]
@@ -39,16 +34,20 @@ AugmentedSpectrum = tuple[Fraction, ...]
 PSet = tuple[tuple[Fraction, Fraction], ...]
 
 # Largest grid denominator sweep_grid accepts.  The grid holds d/2 Fractions;
-# a CLI sweep at d = 100,000 takes about 1 s (CPython 3.11.7, x86_64), nearly
-# all of it building the grid and rendering its rows.
+# a CLI sweep at d = 100,000 takes about 0.5 s (CPython 3.11.7, x86_64), most
+# of it rendering the rows and building the grid.
 MAX_GRID_DENOMINATOR = 100_000
+
+
+def _products(alpha: Sequence[int], kappa: Sequence[int]) -> list[int]:
+    """All products a * k of two integer vectors, sorted descending."""
+    return sorted([a * k for a in alpha for k in kappa], reverse=True)
 
 
 def augment(state: Spectrum4, catalyst: CatalystSpectrum) -> AugmentedSpectrum:
     """All products state[i] * catalyst[j], sorted descending (on the ints)."""
     (alpha, den_a), (kappa, den_k) = state.scaled, catalyst.scaled
-    products = sorted([a * k for a in alpha for k in kappa], reverse=True)
-    return tuple([Fraction(n, den_a * den_k) for n in products])
+    return tuple([Fraction(n, den_a * den_k) for n in _products(alpha, kappa)])
 
 
 def oracle_valid_catalyst(
@@ -68,30 +67,31 @@ def _crossings(state: Spectrum4) -> set[Fraction]:
     return {Fraction(y, x + y) for x in nums for y in nums if 0 < x < y}
 
 
-def _sum_gaps(source: Spectrum4, target: Spectrum4, p: Fraction) -> list[Fraction]:
-    """Target minus source partial sums of the spectra augmented by (p, 1-p);
-    the oracle accepts p exactly when none is negative."""
-    catalyst = two_qubit_catalyst(p)
-    return [
-        t - s
-        for s, t in zip(
-            partial_sums(augment(source, catalyst)), partial_sums(augment(target, catalyst))
-        )
-    ]
+def _sum_gaps(source: Spectrum4, target: Spectrum4, p: Fraction) -> list[int]:
+    """Target minus source partial sums of the spectra augmented by (p, 1-p),
+    as numerators over den_s * den_t * p.denominator; the oracle accepts p
+    exactly when none is negative."""
+    (alpha, den_s), (beta, den_t) = source.scaled, target.scaled
+    kappa = (p.numerator, p.denominator - p.numerator)
+    pairs = zip(_products(alpha, kappa), _products(beta, kappa))
+    return list(accumulate([t * den_s - s * den_t for s, t in pairs]))
 
 
 def _cell_part(
-    a: Fraction, b: Fraction, gaps_a: list[Fraction], gaps_b: list[Fraction]
+    a: Fraction, b: Fraction, gaps_a: list[int], gaps_b: list[int]
 ) -> Optional[tuple[Fraction, Fraction]]:
     """The closed part of the cell [a, b] where every gap, linear on it and
-    valued gaps_a at a and gaps_b at b, is nonnegative; None if empty."""
+    valued gaps_a at a and gaps_b at b (_sum_gaps numerators), is
+    nonnegative; None if empty."""
     lo, hi = a, b
+    da, db = a.denominator, b.denominator
     for x, y in zip(gaps_a, gaps_b):
         if x < 0 and y < 0:
             return None
         if (x < 0) != (y < 0):
-            # The gap x + (y - x)(p - a)/(b - a) crosses zero here.
-            root = a + (b - a) * x / (x - y)
+            # The gap g(p), g(a) = x/da and g(b) = y/db over one common
+            # factor, crosses zero at a + (b - a) g(a) / (g(a) - g(b)).
+            root = a + (b - a) * Fraction(x * db, x * db - y * da)
             if x < 0:
                 lo = max(lo, root)
             else:
@@ -106,7 +106,8 @@ def feasible_p_set(source: Spectrum4, target: Spectrum4) -> PSet:
     isolated point, and () when no two-qubit catalyst helps.  Exact: each
     partial-sum gap is linear between consecutive crossings (see the module
     docstring), so on each cell its sign follows from its values at the
-    cell's two ends.
+    cell's two ends.  Those values are ints from _products, the kernel
+    augment uses; a Fraction is built only for a crossing or a root.
     """
     points = sorted(_crossings(source) | _crossings(target) | {HALF, Fraction(1)})
     gaps = [_sum_gaps(source, target, p) for p in points]
@@ -133,13 +134,17 @@ def sweep(
     order.  Raises ValueError for a grid value outside [1/2, 1].
     """
     pieces = feasible_p_set(source, target)
-    highs = [hi for _, hi in pieces]
+    bounds = [(*lo.as_integer_ratio(), *hi.as_integer_ratio()) for lo, hi in pieces]
     rows = []
     for p in grid:
-        value = _as_fraction(p)
-        _two_qubit_parameter(value)  # raises outside [1/2, 1]
-        i = bisect_left(highs, value)
-        rows.append((p, i < len(pieces) and pieces[i][0] <= value))
+        k, d = _two_qubit_parameter(p)  # raises outside [1/2, 1]
+        for ln, ld, hn, hd in bounds:
+            # lo <= k/d <= hi on the ints; every denominator is positive.
+            if ln * d <= k * ld and k * hd <= hn * d:
+                rows.append((p, True))
+                break
+        else:
+            rows.append((p, False))
     return rows
 
 

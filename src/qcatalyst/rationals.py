@@ -68,7 +68,10 @@ def parse_rational(text: str) -> Fraction:
 
 def _int_text(n: int) -> str:
     """Decimal text of any int; str(n) refuses more than 4,300 digits."""
-    return str(Decimal(n))
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def render_rational(value: ExtendedRational) -> str:
@@ -92,10 +95,12 @@ def render_decimal(value: ExtendedRational) -> tuple[str, bool]:
         return "inf", True
     num, den = value.numerator, value.denominator
     whole, rem = divmod(abs(num), den)
-    digits = []
-    while rem and len(digits) < _DECIMAL_DIGITS:
-        digit, rem = divmod(rem * 10, den)
-        digits.append(str(digit))
-    text = _int_text(whole) + ("." + "".join(digits) if digits else "")
+    text = _int_text(whole)
+    if rem:
+        # All 12 digits at once; the trailing zeros of a terminating
+        # expansion are dropped, those of a truncation kept.
+        scaled, rem = divmod(rem * 10**_DECIMAL_DIGITS, den)
+        digits = f"{scaled:0{_DECIMAL_DIGITS}d}"
+        text += "." + (digits if rem else digits.rstrip("0"))
     return ("-" if num < 0 else "") + text, rem == 0
 

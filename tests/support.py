@@ -137,16 +137,43 @@ def star_pairs(
     )
     budget = parts[1] - parts[2]
     assume(budget >= 2)
+    e1, e2, e3 = _draw_slacks(draw, budget, parts[3], feasible_leaning)
+    return _pair_from_integers(parts, e1, e2, e3, d)
+
+
+def _draw_slacks(draw, budget: int, e3_limit: int, feasible_leaning: bool):
+    """Integer slacks (e1, e2, e3) with e1 + 2*e2 + e3 <= budget, e2 >= 1 and
+    e3 <= e3_limit, drawn as random_star_pair draws them."""
     if feasible_leaning:
         e2 = 1
         e1 = draw(st.integers((budget - 2) // 2, budget - 2))
-        e3_cap = min(parts[3], budget - 2 - e1)
+        e3_cap = min(e3_limit, budget - 2 - e1)
         e3 = draw(st.integers((e3_cap + 1) // 2, e3_cap))
     else:
         e2 = draw(st.integers(1, budget // 2))
         e1 = draw(st.integers(0, budget - 2 * e2))
-        e3 = draw(st.integers(0, min(parts[3], budget - 2 * e2 - e1)))
-    return _pair_from_integers(parts, e1, e2, e3, d)
+        e3 = draw(st.integers(0, min(e3_limit, budget - 2 * e2 - e1)))
+    return e1, e2, e3
+
+
+@st.composite
+def coprime_star_pairs(draw, feasible_leaning: bool = False) -> tuple[Spectrum4, Spectrum4]:
+    """Star pair whose source lives over d1 and whose slacks live over d2,
+    for coprime d1, d2 in [10**6, 10**7].  The target's components then need
+    denominators up to d1*d2, so the two spectra share no small denominator
+    and the feasible set's ends have large, unrelated denominators."""
+    d1 = draw(st.integers(10**6, 10**7))
+    d2 = draw(st.integers(10**6, 10**7))
+    assume(math.gcd(d1, d2) == 1)
+    cuts = sorted(draw(st.integers(0, d1)) for _ in range(3))
+    parts = sorted((cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], d1 - cuts[2]), reverse=True)
+    # The slack budget and the cap on e3, in units of 1/d2.
+    budget = (parts[1] - parts[2]) * d2 // d1
+    assume(budget >= 2)
+    e1, e2, e3 = _draw_slacks(draw, budget, parts[3] * d2 // d1, feasible_leaning)
+    # Over d1*d2 the source is parts*d2 and each slack e is e*d1.
+    scaled = tuple(x * d2 for x in parts)
+    return _pair_from_integers(scaled, e1 * d1, e2 * d1, e3 * d1, d1 * d2)
 
 
 @st.composite

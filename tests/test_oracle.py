@@ -20,7 +20,13 @@ from qcatalyst import (
     two_qubit_catalyst,
 )
 
-from support import catalyst_params, power_sums_allow_catalysis, spectra, star_pairs
+from support import (
+    catalyst_params,
+    coprime_star_pairs,
+    power_sums_allow_catalysis,
+    spectra,
+    star_pairs,
+)
 
 F = Fraction
 
@@ -130,6 +136,24 @@ def in_p_set(pieces, p) -> bool:
     return any(lo <= p <= hi for lo, hi in pieces)
 
 
+def assert_membership_is_the_oracle_verdict(source, target, extra_points=()):
+    """The feasible set is sorted and disjoint, and membership equals the
+    oracle at every breakpoint, at every endpoint, 1e-9 outside each
+    endpoint and at each extra point in [1/2, 1]."""
+    pieces = feasible_p_set(source, target)
+    assert list(pieces) == sorted(pieces)
+    assert all(lo <= hi for lo, hi in pieces)
+    assert all(a[1] < b[0] for a, b in zip(pieces, pieces[1:]))
+    just = F(1, 10**9)
+    points = {*extra_points, *crossings(source), *crossings(target)}
+    for lo, hi in pieces:
+        points |= {lo, hi, lo - just, hi + just}
+    for p in points:
+        if F(1, 2) <= p <= 1:
+            catalyst = two_qubit_catalyst(p)
+            assert in_p_set(pieces, p) == oracle_valid_catalyst(source, target, catalyst)
+
+
 class TestFeasiblePSet:
     def test_worked_example(self):
         assert feasible_p_set(CAT_SOURCE, CAT_TARGET) == ((F(3, 5), F(5, 8)),)
@@ -159,19 +183,14 @@ class TestFeasiblePSet:
     @given(any_pairs, st.lists(catalyst_params(1000), max_size=5))
     @settings(max_examples=150)
     def test_membership_is_the_oracle_verdict(self, pair, random_ps):
-        source, target = pair
-        pieces = feasible_p_set(source, target)
-        assert list(pieces) == sorted(pieces)
-        assert all(lo <= hi for lo, hi in pieces)
-        assert all(a[1] < b[0] for a, b in zip(pieces, pieces[1:]))
-        just = F(1, 10**9)
-        points = {*random_ps, *crossings(source), *crossings(target)}
-        for lo, hi in pieces:
-            points |= {lo, hi, lo - just, hi + just}
-        for p in points:
-            if F(1, 2) <= p <= 1:
-                catalyst = two_qubit_catalyst(p)
-                assert in_p_set(pieces, p) == oracle_valid_catalyst(source, target, catalyst)
+        assert_membership_is_the_oracle_verdict(*pair, random_ps)
+
+    @given(st.one_of(coprime_star_pairs(), coprime_star_pairs(feasible_leaning=True)))
+    @settings(max_examples=100)
+    def test_membership_is_the_oracle_verdict_at_large_denominators(self, pair):
+        # Breakpoints and roots with denominators past 10**12; the
+        # strategies above stop at 48.
+        assert_membership_is_the_oracle_verdict(*pair)
 
     @given(any_pairs)
     @settings(max_examples=300)

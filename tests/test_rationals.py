@@ -94,6 +94,60 @@ class TestRendering:
         assert parse_rational(render_rational(x)) == x
 
 
+def long_division(value: Fraction) -> tuple[str, bool]:
+    """render_decimal's contract, one digit at a time: at most 12 fractional
+    digits, stopping early once the remainder is 0."""
+    num, den = value.numerator, value.denominator
+    whole, rem = divmod(abs(num), den)
+    digits = []
+    while rem and len(digits) < 12:
+        digit, rem = divmod(rem * 10, den)
+        digits.append(str(digit))
+    text = str(whole) + ("." + "".join(digits) if digits else "")
+    return ("-" if num < 0 else "") + text, rem == 0
+
+
+# A whole part of 5,001 digits, past the 4,300 that str() converts.
+BIG = 10**5000 + 7
+BIG_TEXT = "1" + "0" * 4999 + "7"
+
+
+class TestRenderingContract:
+    @given(st.fractions())
+    def test_decimal_is_the_long_division(self, x):
+        assert render_decimal(x) == long_division(x)
+
+    @given(st.integers(-(10**45), 10**45), st.integers(1, 10**40))
+    def test_decimal_is_the_long_division_at_large_denominators(self, num, den):
+        x = Fraction(num, den)
+        assert render_decimal(x) == long_division(x)
+
+    @pytest.mark.parametrize(
+        "value,text,exact",
+        [
+            # Truncated: all 12 digits stay, trailing zeros included.
+            (Fraction(1, 10**13), "0.000000000000", False),
+            (Fraction(1, 8192), "0.000122070312", False),
+            # Terminating at exactly 12 digits.
+            (Fraction(1, 4096), "0.000244140625", True),
+            (Fraction(-7, 10**12), "-0.000000000007", True),
+        ],
+    )
+    def test_twelve_digit_boundary(self, value, text, exact):
+        assert render_decimal(value) == (text, exact)
+
+    def test_whole_part_over_4300_digits(self):
+        value = BIG + Fraction(1, 8)
+        assert render_decimal(value) == (BIG_TEXT + ".125", True)
+        assert render_decimal(-value) == ("-" + BIG_TEXT + ".125", True)
+        assert render_rational(value) == "8" + "0" * 4998 + "57/8"
+
+    def test_numerator_over_4300_digits(self):
+        value = Fraction(BIG, 10**5000)
+        assert render_decimal(value) == ("1.000000000000", False)
+        assert render_rational(value) == BIG_TEXT + "/1" + "0" * 5000
+
+
 class TestOrdering:
     @given(st.fractions(), st.fractions())
     def test_trichotomy(self, x, y):

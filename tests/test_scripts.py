@@ -27,11 +27,14 @@ def test_agreement_experiment():
     assert "disagreements: 0" in result.stdout
 
 
+# The hash of the CLI's answers to these 64 calls.  A change that moves it
+# changed some byte of stdout or stderr, or an exit code.
+FINGERPRINT_64 = "cd6c524bab97f7a617f44374ee9b158f06d4a1b82eb0fab74e457ee324d3a98a"
+
+
 def test_cli_fingerprint():
     result = run_script(
         "cli_fingerprint.py", "--requests", "30", "--sweep-calls", "2", "--seeds", "1", "2"
     )
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0] == "calls: 64"
-    assert lines[1].startswith("sha256: ") and len(lines[1]) == len("sha256: ") + 64
+    assert result.stdout.splitlines() == ["calls: 64", f"sha256: {FINGERPRINT_64}"]
