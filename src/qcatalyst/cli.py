@@ -7,7 +7,8 @@ replaces the document key of the same name.  Reports are JSON with exact
 "num/den" strings as the authoritative values; decimal fields are annotated
 approximations.  Tabular commands (sweep, lorenz) emit CSV with a header
 row and LF line endings.  Each ``_cmd_*`` handler returns its report (a dict)
-or its CSV lines; ``main`` alone writes them and picks the exit code.
+or its CSV lines; ``main`` alone writes them, with one ``print``, and
+picks the exit code.
 
 Exit codes: 0 = evaluated (whatever the verdict), 1 = input error,
 2 = internal consistency failure (interval theorem and brute-force oracle
@@ -26,8 +27,15 @@ from typing import Optional, Sequence
 from .catalysis import FeasibilityReport, Verdict, analyze, compute_M, compute_m, is_valid_catalyst
 from .constructor import construct_states
 from .majorization import first_violated_index, lorenz_points, partial_sums
-from .oracle import oracle_valid_catalyst, sweep, sweep_grid
-from .rationals import ExtendedRational, parse_rational, render_decimal, render_rational
+from .oracle import feasible_p_set, grid_points, oracle_valid_catalyst, p_set_verdicts
+from .rationals import (
+    ExtendedRational,
+    decimal_text,
+    parse_rational,
+    ratio_text,
+    render_decimal,
+    render_rational,
+)
 from .spectra import (
     CatalystSpectrum,
     Spectrum4,
@@ -212,10 +220,12 @@ def _cmd_validate(request: dict) -> dict:
 def _cmd_sweep(request: dict) -> list[str]:
     source, target = _spectrum_pair(request)
     report = analyze(source, target)
-    grid = sweep_grid(request.get("grid_denominator", 1000), report.p_interval)
+    # oracle.sweep over sweep_grid, rendered, on the ints: no Fraction per row.
+    grid = grid_points(request.get("grid_denominator", 1000), report.p_interval)
+    verdicts = p_set_verdicts(feasible_p_set(source, target), grid)
     return ["p,p_decimal,valid"] + [
-        f"{render_rational(p)},{render_decimal(p)[0]},{1 if valid else 0}"
-        for p, valid in sweep(source, target, grid)
+        f"{ratio_text(n, q)},{decimal_text(n, q)[0]},{1 if valid else 0}"
+        for (n, q), valid in zip(grid, verdicts)
     ]
 
 
@@ -317,9 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         result = args.handler(_request(args))
         is_report = isinstance(result, dict)
-        # CSV goes out row by row, so a reader that leaves early stops the writes.
-        for line in [json.dumps(result, indent=2)] if is_report else result:
-            print(line)
+        print(json.dumps(result, indent=2) if is_report else "\n".join(result))
         # A reader that went away must surface here, not at interpreter exit.
         sys.stdout.flush()
     except (InputError, ValueError, TypeError) as exc:

@@ -17,8 +17,12 @@ which yields slack values eps = (mu a, m0 mu a, M0 m0 mu a) and, for small
 enough mu, ratio bounds exactly (m0, M0).  The closed-form admissibility
 bound on mu below is not sufficient for every (m0, M0) (the source ordering
 and the max/min selections impose further upper bounds that grow with m0),
-so the chooser starts at half the bound and keeps halving until every
-invariant verifies; mu -> 0 satisfies all constraints, so this terminates.
+so the chooser tries mu = bound/2, bound/4, ... until every invariant
+verifies; mu -> 0 satisfies all constraints, so this terminates.  The source
+stays sorted only while mu <= (1-h)/(m0+2) and mu <= (h-q)/((2 M0+1) m0),
+so the search starts at the first mu of that sequence that meets both,
+found from bit lengths: every earlier one fails, and at m0 = 10^k there
+are about 3.3 k of them.
 """
 from __future__ import annotations
 
@@ -75,19 +79,33 @@ def mu_admissible_bound(m0: Rational, M0: Rational) -> Fraction:
     return min(first, second)
 
 
+def _profile(m0: Fraction) -> tuple[Branch, Fraction, Fraction, Fraction]:
+    """(branch, a, h, q): the scale and the target profile's middle and last."""
+    if m0 <= 1:
+        return Branch.M0_LE_1, (2 / (m0 + 2)) ** 2, m0 / 2, m0 * m0 / 4
+    # The target profile sums to 9/4, so normalization forces a = 4/9.
+    return Branch.M0_GT_1, Fraction(4, 9), HALF, Fraction(1, 4)
+
+
+def _first_sorted_mu(m0: Fraction, M0: Fraction) -> Fraction:
+    """The first mu = bound / 2**(j+1), j >= 0, that keeps the source sorted
+    (see the module docstring); Spectrum4 rejects every earlier one."""
+    _, _, h, q = _profile(m0)
+    limit = min((1 - h) / (m0 + 2), (h - q) / ((2 * M0 + 1) * m0))
+    bound = mu_admissible_bound(m0, M0)
+    n, d = (bound / limit).as_integer_ratio()
+    # The smallest j with 2**(j+1) >= n/d.  n/d > 2**(bit_length(n) -
+    # bit_length(d) - 1), so no j below bit_length(n) - bit_length(d) - 2
+    # qualifies, and the loop runs at most three times.
+    j = max(n.bit_length() - d.bit_length() - 2, 0)
+    while d << (j + 1) < n:
+        j += 1
+    return bound / 2 ** (j + 1)
+
+
 def _try_build(m0: Fraction, M0: Fraction, mu: Fraction) -> Optional[ConstructionResult]:
     """Build the pair for this mu; None when any invariant fails."""
-    if m0 <= 1:
-        branch = Branch.M0_LE_1
-        a = (2 / (m0 + 2)) ** 2
-        h = m0 / 2
-        q = m0 * m0 / 4
-    else:
-        branch = Branch.M0_GT_1
-        # The target profile sums to 9/4, so normalization forces a = 4/9.
-        a = Fraction(4, 9)
-        h = HALF
-        q = Fraction(1, 4)
+    branch, a, h, q = _profile(m0)
     source_values = (
         a * (1 - mu),
         a * (h + (m0 + 1) * mu),
@@ -121,7 +139,7 @@ def construct_states(
     M0 = _as_fraction(M0)
     _validate_targets(m0, M0)
     if mu is None:
-        mu = mu_admissible_bound(m0, M0) / 2
+        mu = _first_sorted_mu(m0, M0)
         for _ in range(_MAX_HALVINGS):
             result = _try_build(m0, M0, mu)
             if result is not None:

@@ -18,10 +18,10 @@ cell gives the feasible set without trusting any formula for m or M.
 """
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from math import gcd
+from typing import Iterable, Optional, Sequence
 
 from .majorization import is_majorized_by
 from .rationals import HALF
@@ -33,9 +33,10 @@ AugmentedSpectrum = tuple[Fraction, ...]
 # Sorted disjoint closed intervals (lo, hi) of p; lo == hi for a lone point.
 PSet = tuple[tuple[Fraction, Fraction], ...]
 
-# Largest grid denominator sweep_grid accepts.  The grid holds d/2 Fractions;
-# a CLI sweep at d = 100,000 takes about 0.5 s (CPython 3.11.7, x86_64), most
-# of it rendering the rows and building the grid.
+# Largest grid denominator sweep_grid accepts.  The grid holds d/2 points (int
+# pairs on the CLI's path); a CLI sweep at d = 100,000 takes about 0.3 s as a
+# process (CPython 3.11.7, x86_64), of which the call itself is about 0.15 s,
+# most of it rendering the rows.
 MAX_GRID_DENOMINATOR = 100_000
 
 
@@ -123,6 +124,22 @@ def feasible_p_set(source: Spectrum4, target: Spectrum4) -> PSet:
     return tuple(pieces)
 
 
+def p_set_verdicts(pieces: PSet, points: Iterable[tuple[int, int]]) -> list[bool]:
+    """Whether each p = n/q of points, given as int pairs with q > 0, lies
+    in pieces (a feasible_p_set result); exact, on the ints."""
+    bounds = [(*lo.as_integer_ratio(), *hi.as_integer_ratio()) for lo, hi in pieces]
+    verdicts = []
+    for n, q in points:
+        for ln, ld, hn, hd in bounds:
+            # lo <= n/q <= hi; every denominator is positive.
+            if ln * q <= n * ld and n * hd <= hn * q:
+                verdicts.append(True)
+                break
+        else:
+            verdicts.append(False)
+    return verdicts
+
+
 def sweep(
     source: Spectrum4, target: Spectrum4, grid: Sequence[Fraction]
 ) -> list[tuple[Fraction, bool]]:
@@ -133,19 +150,44 @@ def sweep(
     come back in grid order, each with p as given; the grid may be in any
     order.  Raises ValueError for a grid value outside [1/2, 1].
     """
-    pieces = feasible_p_set(source, target)
-    bounds = [(*lo.as_integer_ratio(), *hi.as_integer_ratio()) for lo, hi in pieces]
-    rows = []
-    for p in grid:
-        k, d = _two_qubit_parameter(p)  # raises outside [1/2, 1]
-        for ln, ld, hn, hd in bounds:
-            # lo <= k/d <= hi on the ints; every denominator is positive.
-            if ln * d <= k * ld and k * hd <= hn * d:
-                rows.append((p, True))
-                break
-        else:
-            rows.append((p, False))
-    return rows
+    points = [_two_qubit_parameter(p) for p in grid]  # raises outside [1/2, 1]
+    return list(zip(grid, p_set_verdicts(feasible_p_set(source, target), points)))
+
+
+def grid_points(
+    denominator: int = 1000,
+    p_interval: Optional[tuple[Fraction, Fraction]] = None,
+) -> list[tuple[int, int]]:
+    """sweep_grid's points as (numerator, denominator) ints in lowest terms,
+    ascending; the same checks and messages, and no Fraction per point."""
+    # type(), not isinstance: bool is an int subclass, and True is not a
+    # denominator of 1.
+    if type(denominator) is not int or not 1 <= denominator <= MAX_GRID_DENOMINATOR:
+        raise ValueError(
+            "grid denominator must be a positive integer up to "
+            f"{MAX_GRID_DENOMINATOR}, got {denominator!r}"
+        )
+    extra = {HALF}
+    if p_interval is not None:
+        for endpoint in p_interval:
+            if not HALF <= endpoint <= 1:
+                raise ValueError(f"interval endpoint {endpoint} outside [1/2, 1]")
+            extra.add(endpoint)
+    first = -(-denominator // 2)
+    grid = [
+        (k // g, denominator // g)
+        for k in range(first, denominator + 1)
+        for g in [gcd(k, denominator)]
+    ]
+    # The lattice comes out ascending.  An extra point a/b off it (b does
+    # not divide the denominator) has ceil(a*d/b) - first lattice points
+    # below it; inserting the largest first leaves the smaller ones' indices
+    # as they are.
+    for point in sorted(extra, reverse=True):
+        a, b = point.as_integer_ratio()
+        if denominator % b:
+            grid.insert(-(-a * denominator // b) - first, (a, b))
+    return grid
 
 
 def sweep_grid(
@@ -160,22 +202,4 @@ def sweep_grid(
     and the oracle would hide.  Raises ValueError unless the denominator is
     an int from 1 to MAX_GRID_DENOMINATOR.
     """
-    # type(), not isinstance: bool is an int subclass, and True is not a
-    # denominator of 1.
-    if type(denominator) is not int or not 1 <= denominator <= MAX_GRID_DENOMINATOR:
-        raise ValueError(
-            "grid denominator must be a positive integer up to "
-            f"{MAX_GRID_DENOMINATOR}, got {denominator!r}"
-        )
-    extra = {HALF}
-    if p_interval is not None:
-        for endpoint in p_interval:
-            if not HALF <= endpoint <= 1:
-                raise ValueError(f"interval endpoint {endpoint} outside [1/2, 1]")
-            extra.add(endpoint)
-    grid = [Fraction(k, denominator) for k in range(-(-denominator // 2), denominator + 1)]
-    # The lattice comes out ascending; only the extra points off it go in.
-    for point in extra:
-        if (point * denominator).denominator != 1:
-            insort(grid, point)
-    return grid
+    return [Fraction(n, q) for n, q in grid_points(denominator, p_interval)]

@@ -36,6 +36,7 @@ _LONG_NUMBER = r"\d(?:_?\d){%d}" % MAX_DIGITS
 
 # Fractional digits render_decimal writes before it truncates.
 _DECIMAL_DIGITS = 12
+_DECIMAL_SCALE = 10**_DECIMAL_DIGITS
 
 
 def parse_rational(text: str) -> Fraction:
@@ -74,6 +75,27 @@ def _int_text(n: int) -> str:
         return str(Decimal(n))
 
 
+def ratio_text(num: int, den: int) -> str:
+    """"num/den" text of two ints; the core of render_rational."""
+    try:
+        return f"{num}/{den}"
+    except ValueError:  # a part over 4,300 digits
+        return f"{_int_text(num)}/{_int_text(den)}"
+
+
+def decimal_text(num: int, den: int) -> tuple[str, bool]:
+    """render_decimal of num/den, for ints with den > 0."""
+    whole, rem = divmod(abs(num), den)
+    text = _int_text(whole)
+    if rem:
+        # All 12 digits at once; the trailing zeros of a terminating
+        # expansion are dropped, those of a truncation kept.
+        scaled, rem = divmod(rem * _DECIMAL_SCALE, den)
+        digits = "%0*d" % (_DECIMAL_DIGITS, scaled)
+        text += "." + (digits if rem else digits.rstrip("0"))
+    return ("-" if num < 0 else "") + text, rem == 0
+
+
 def render_rational(value: ExtendedRational) -> str:
     """Render as "num/den" (or "inf"); parse_rational round-trips the result
     when both parts fit its input limits."""
@@ -81,7 +103,7 @@ def render_rational(value: ExtendedRational) -> str:
     # Fraction == float comparison on every finite value.
     if not isinstance(value, Fraction) and value == INFINITY:
         return "inf"
-    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+    return ratio_text(value.numerator, value.denominator)
 
 
 def render_decimal(value: ExtendedRational) -> tuple[str, bool]:
@@ -93,14 +115,4 @@ def render_decimal(value: ExtendedRational) -> tuple[str, bool]:
     """
     if not isinstance(value, Fraction) and value == INFINITY:
         return "inf", True
-    num, den = value.numerator, value.denominator
-    whole, rem = divmod(abs(num), den)
-    text = _int_text(whole)
-    if rem:
-        # All 12 digits at once; the trailing zeros of a terminating
-        # expansion are dropped, those of a truncation kept.
-        scaled, rem = divmod(rem * 10**_DECIMAL_DIGITS, den)
-        digits = f"{scaled:0{_DECIMAL_DIGITS}d}"
-        text += "." + (digits if rem else digits.rstrip("0"))
-    return ("-" if num < 0 else "") + text, rem == 0
-
+    return decimal_text(value.numerator, value.denominator)

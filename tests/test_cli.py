@@ -1,15 +1,35 @@
+import contextlib
+import cProfile
+import fractions
 import io
 import json
+import pstats
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcatalyst.cli as cli
-from qcatalyst import parse_rational, render_rational
+from qcatalyst import (
+    StarViolation,
+    analyze,
+    construct_states,
+    epsilon_decompose,
+    locc_possible,
+    make_spectrum,
+    parse_rational,
+    render_decimal,
+    render_rational,
+    sweep,
+    sweep_grid,
+)
+from qcatalyst.oracle import MAX_GRID_DENOMINATOR
 
-from support import child_env
+from support import child_env, coprime_star_pairs, spectra, star_pairs
 
 CATALYZABLE = ["--source", "0.4,0.4,0.1,0.1", "--target", "0.5,0.25,0.25,0"]
 HARD = ["--source", "0.45,0.45,0.05,0.05", "--target", "0.5,0.35,0.15,0"]
@@ -370,6 +390,88 @@ class TestSweep:
         assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def sweep_argv(source, target, denominator: int) -> list[str]:
+    return [
+        "sweep",
+        "--source", ",".join(map(render_rational, source)),
+        "--target", ",".join(map(render_rational, target)),
+        "--denominator", str(denominator),
+    ]
+
+
+def stdout_of(argv) -> str:
+    """Standard output of an in-process cli.main call that exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def reference_sweep_csv(source, target, denominator: int) -> str:
+    """The sweep CSV built from the public Fraction API."""
+    grid = sweep_grid(denominator, analyze(source, target).p_interval)
+    lines = ["p,p_decimal,valid"] + [
+        f"{render_rational(p)},{render_decimal(p)[0]},{1 if valid else 0}"
+        for p, valid in sweep(source, target, grid)
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+arbitrary_pairs = st.tuples(spectra(), spectra())
+sweep_pairs = st.one_of(
+    star_pairs(),
+    star_pairs(feasible_leaning=True),
+    # Interval endpoints with denominators past 10**12, off every lattice.
+    coprime_star_pairs(),
+    coprime_star_pairs(feasible_leaning=True),
+    arbitrary_pairs.filter(lambda pair: locc_possible(*pair)),
+    arbitrary_pairs.filter(
+        lambda pair: isinstance(epsilon_decompose(*pair), StarViolation)
+        and not locc_possible(*pair)
+    ),
+)
+
+
+class TestSweepRows:
+    @given(sweep_pairs, st.integers(1, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_the_fraction_reference(self, pair, denominator):
+        assert stdout_of(sweep_argv(*pair, denominator)) == reference_sweep_csv(*pair, denominator)
+
+    @pytest.mark.parametrize("denominator", [1, 5, 10, 399])
+    def test_isolated_point_off_the_lattice(self, denominator):
+        # m = M = 1/3 leaves the single catalyst p = 3/4 (lo == hi).
+        pair = construct_states(Fraction(1, 3), Fraction(1, 3))
+        out = stdout_of(sweep_argv(pair.source, pair.target, denominator))
+        assert out == reference_sweep_csv(pair.source, pair.target, denominator)
+        assert [row for row in out.splitlines() if row.endswith(",1")] == ["3/4,0.75,1"]
+
+    def test_largest_denominator(self):
+        source = make_spectrum(["0.4", "0.4", "0.1", "0.1"])
+        target = make_spectrum(["0.5", "0.25", "0.25", "0"])
+        out = stdout_of(sweep_argv(source, target, MAX_GRID_DENOMINATOR))
+        lines = out.splitlines()
+        assert len(lines) == 1 + 50_001
+        assert sum(line.endswith(",1") for line in lines) == 2_501  # 3/5 to 5/8
+        assert out == reference_sweep_csv(source, target, MAX_GRID_DENOMINATOR)
+
+    def test_no_fraction_per_row(self):
+        def fractions_built(denominator: int) -> int:
+            profile = cProfile.Profile()
+            with contextlib.redirect_stdout(io.StringIO()):
+                profile.runcall(cli.main, ["sweep", *CATALYZABLE, "--denominator", str(denominator)])
+            return sum(
+                calls
+                for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+                if path == fractions.__file__ and name == "__new__"
+            )
+
+        analyze.cache_clear()
+        assert fractions_built(2000) < 100
+        # With the pair's analysis cached, the count does not grow with the rows.
+        assert fractions_built(20) == fractions_built(2000)
+
+
 class TestConstruct:
     def test_worked_example(self, capsys):
         code, out, _ = run(capsys, ["construct", "--m0", "2/3", "--M0", "1/3", "--mu", "1/10"])
@@ -408,6 +510,16 @@ class TestConstruct:
         )
         assert code == 0
         assert json.loads(out)["mu"]["exact"] == "1/20"
+
+    @pytest.mark.parametrize("big_m0", ["1/1000", "1/2", "999/1000"])
+    @pytest.mark.parametrize("m0", ["1e400", "1e4300"])
+    def test_huge_m0_verifies(self, capsys, m0, big_m0):
+        # A valid mu lies about log2(m0) halvings below the bound.
+        code, out, err = run(capsys, ["construct", "--m0", m0, "--M0", big_m0])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["recomputed_m"]["exact"] == render_rational(parse_rational(m0))
+        assert doc["recomputed_M"]["exact"] == big_m0
 
 
 class TestLorenz:

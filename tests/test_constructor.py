@@ -118,3 +118,26 @@ class TestRoundTrip:
         # The pair is catalyzable exactly when the prescribed bounds permit it.
         verdict = analyze(result.source, result.target).verdict
         assert (verdict is Verdict.CATALYZABLE) == (m0 <= big)
+
+
+def first_verifying_halving(m0, big):
+    """Reference search: mu = bound/2, bound/4, ... without a cap, until
+    construct_states verifies the pinned mu."""
+    mu = mu_admissible_bound(m0, big) / 2
+    while True:
+        try:
+            return construct_states(m0, big, mu).mu
+        except ValueError:
+            mu /= 2
+
+
+class TestMuSearch:
+    @given(
+        st.integers(1, 10**200),
+        st.integers(1, 10**6),
+        st.fractions(F(1, 1000), F(999, 1000), max_denominator=1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_mu_as_the_uncapped_halving(self, m0_num, m0_den, big):
+        m0 = F(m0_num, m0_den)
+        assert construct_states(m0, big).mu == first_verifying_halving(m0, big)
