@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .rationals import INFINITY, ExtendedRational
+from .rationals import INFINITY, ExtendedRational, value_text
 from .spectra import (
     EpsilonTriple,
     Spectrum4,
@@ -72,7 +72,8 @@ class FeasibilityReport:
         else:
             valid = violation is None and m > 0 and 0 <= M < 1
         if not valid:
-            raise ValueError(f"inconsistent report: m={m}, M={M}, star_violation={violation}")
+            shown = f"m={value_text(m)}, M={value_text(M)}, star_violation={violation}"
+            raise ValueError(f"inconsistent report: {shown}")
 
     @property
     def verdict(self) -> Verdict:
@@ -200,7 +201,8 @@ def closed_form_lambda_prime(
     r = q / p
     if not m <= r <= M:
         raise ValueError(
-            f"ratio (1-p)/p = {r} outside feasible interval [{m}, {M}]; "
+            f"ratio (1-p)/p = {value_text(r)} outside feasible interval "
+            f"[{value_text(m)}, {value_text(M)}]; "
             "closed forms do not describe the sorted spectrum there"
         )
     e1, e2, e3 = eps.eps1, eps.eps2, eps.eps3

@@ -2,27 +2,28 @@
 
 Given m0 > 0 and 0 < M0 < 1, build a canonical source/target spectrum pair
 whose recomputed ratio bounds equal (m0, M0) exactly.  The construction
-scales a fixed target profile by a and perturbs the source by a small mu:
+scales a fixed target profile by a and perturbs the source by mu > 0:
 
     m0 <= 1:  a = (2/(m0+2))^2, profile (1, m0/2, m0/2, m0^2/4)
     m0 >  1:  a = 4/9,          profile (1, 1/2,  1/2,  1/4)
 
-    source = a * (1 - mu,
-                  h + (m0+1) mu,
-                  h - (M0+1) m0 mu,
-                  q + M0 m0 mu)        with (h, q) the profile's middle/last
-    target = a * profile
+    source = a * (1 - mu, h + (m0+1) mu, h - (M0+1) m0 mu, q + M0 m0 mu)
+    target = a * profile      with (h, q) the profile's middle and last
 
-which yields slack values eps = (mu a, m0 mu a, M0 m0 mu a) and, for small
-enough mu, ratio bounds exactly (m0, M0).  The closed-form admissibility
-bound on mu below is not sufficient for every (m0, M0) (the source ordering
-and the max/min selections impose further upper bounds that grow with m0),
-so the chooser tries mu = bound/2, bound/4, ... until every invariant
-verifies; mu -> 0 satisfies all constraints, so this terminates.  The source
-stays sorted only while mu <= (1-h)/(m0+2) and mu <= (h-q)/((2 M0+1) m0),
-so the search starts at the first mu of that sequence that meets both,
-found from bit lengths: every earlier one fails, and at m0 = 10^k there
-are about 3.3 k of them.
+For every mu > 0 the slack triple is (mu a, m0 mu a, M0 m0 mu a), so the
+terms eps2/eps1 = m0 of m and eps3/eps2 = M0 of M are in place, and
+alpha2 - eps1 > 0.  Every other invariant is one linear limit mu <= L_i:
+
+    source1 >= source2                       (1-h) / (m0+2)
+    source3 >= source4                       (h-q) / ((2 M0+1) m0)
+    m's term h + m0 mu <= m0                 1 - h/m0
+    m's term q / (h - m0 mu) <= m0           (m0 h - q) / m0^2
+    M's term (h - m0 mu)/(h + m0 mu) >= M0   h (1-M0) / (m0 (1+M0))
+
+(h - m0 mu > 0 holds once source3 >= source4.)  Each L_i is positive, so
+the mu that verify are exactly (0, L], L the least of the five.  The
+default mu is the first of bound/2, bound/4, ... (mu_admissible_bound) that
+is at most L, bound / 2^(j+1) with j read off a bit length.
 """
 from __future__ import annotations
 
@@ -32,10 +33,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .catalysis import compute_M, compute_m
-from .rationals import HALF, Rational
+from .rationals import HALF, Rational, value_text
 from .spectra import EpsilonTriple, Spectrum4, _as_fraction, epsilon_decompose
-
-_MAX_HALVINGS = 1000
 
 
 class Branch(Enum):
@@ -57,16 +56,16 @@ class ConstructionResult:
 
 def _validate_targets(m0: Fraction, M0: Fraction) -> None:
     if m0 <= 0:
-        raise ValueError(f"m0 must be positive, got {m0}")
+        raise ValueError(f"m0 must be positive, got {value_text(m0)}")
     if not 0 < M0 < 1:
-        raise ValueError(f"M0 must lie strictly between 0 and 1, got {M0}")
+        raise ValueError(f"M0 must lie strictly between 0 and 1, got {value_text(M0)}")
 
 
 def mu_admissible_bound(m0: Rational, M0: Rational) -> Fraction:
     """Initial upper bound for the perturbation size mu.
 
-    Necessary but not always sufficient; construct_states shrinks below it
-    until the construction verifies.
+    Necessary but not always sufficient: the default mu is the first of
+    bound/2, bound/4, ... within the limits of the module docstring.
     """
     m0 = _as_fraction(m0)
     M0 = _as_fraction(M0)
@@ -87,19 +86,21 @@ def _profile(m0: Fraction) -> tuple[Branch, Fraction, Fraction, Fraction]:
     return Branch.M0_GT_1, Fraction(4, 9), HALF, Fraction(1, 4)
 
 
-def _first_sorted_mu(m0: Fraction, M0: Fraction) -> Fraction:
-    """The first mu = bound / 2**(j+1), j >= 0, that keeps the source sorted
-    (see the module docstring); Spectrum4 rejects every earlier one."""
+def _first_admissible_mu(m0: Fraction, M0: Fraction) -> Fraction:
+    """The first mu = bound / 2**(j+1), j >= 0, within all five limits of the
+    module docstring; every earlier one fails to verify."""
     _, _, h, q = _profile(m0)
-    limit = min((1 - h) / (m0 + 2), (h - q) / ((2 * M0 + 1) * m0))
+    limit = min(
+        (1 - h) / (m0 + 2),
+        (h - q) / ((2 * M0 + 1) * m0),
+        1 - h / m0,
+        (m0 * h - q) / (m0 * m0),
+        h * (1 - M0) / (m0 * (1 + M0)),
+    )
     bound = mu_admissible_bound(m0, M0)
     n, d = (bound / limit).as_integer_ratio()
-    # The smallest j with 2**(j+1) >= n/d.  n/d > 2**(bit_length(n) -
-    # bit_length(d) - 1), so no j below bit_length(n) - bit_length(d) - 2
-    # qualifies, and the loop runs at most three times.
-    j = max(n.bit_length() - d.bit_length() - 2, 0)
-    while d << (j + 1) < n:
-        j += 1
+    # The least power 2**(j+1) >= n/d, i.e. >= ceil(n/d), is 2**bit_length(ceil(n/d) - 1).
+    j = max((-(-n // d) - 1).bit_length() - 1, 0)
     return bound / 2 ** (j + 1)
 
 
@@ -131,27 +132,24 @@ def construct_states(
 ) -> ConstructionResult:
     """Build a state pair with ratio bounds exactly (m0, M0).
 
-    A specific mu may be pinned; it is then verified rather than searched,
-    and a ValueError is raised if it breaks any invariant.  Raises
-    ValueError when m0 <= 0 or M0 is outside (0, 1).
+    mu defaults to the closed-form choice of the module docstring; a pinned
+    mu must be positive.  Either way the pair is verified, and a ValueError
+    is raised if it breaks any invariant.  Raises ValueError when m0 <= 0
+    or M0 is outside (0, 1).
     """
     m0 = _as_fraction(m0)
     M0 = _as_fraction(M0)
     _validate_targets(m0, M0)
     if mu is None:
-        mu = _first_sorted_mu(m0, M0)
-        for _ in range(_MAX_HALVINGS):
-            result = _try_build(m0, M0, mu)
-            if result is not None:
-                return result
-            mu /= 2
-        raise AssertionError(f"no admissible mu found for m0={m0}, M0={M0}")
-    mu = _as_fraction(mu)
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+        mu = _first_admissible_mu(m0, M0)
+    else:
+        mu = _as_fraction(mu)
+        if mu <= 0:
+            raise ValueError(f"mu must be positive, got {value_text(mu)}")
     result = _try_build(m0, M0, mu)
     if result is None:
         raise ValueError(
-            f"mu = {mu} violates the construction invariants for m0={m0}, M0={M0}"
+            f"mu = {value_text(mu)} violates the construction invariants "
+            f"for m0={value_text(m0)}, M0={value_text(M0)}"
         )
     return result

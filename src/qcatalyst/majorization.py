@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
+from .rationals import value_text
 from .spectra import Spectrum4, _as_fraction, _integer_form
 
 PartialSums = tuple[Fraction, ...]
@@ -24,7 +25,8 @@ def _scaled(values: Iterable) -> tuple[list[int], int]:
     nums, den = _integer_form([_as_fraction(v) for v in values])
     nums.sort(reverse=True)
     if nums and nums[-1] < 0:
-        raise ValueError(f"components must be nonnegative, got {Fraction(nums[-1], den)}")
+        least = value_text(Fraction(nums[-1], den))
+        raise ValueError(f"components must be nonnegative, got {least}")
     return nums, den
 
 
@@ -61,7 +63,8 @@ def first_violated_index(a: Sequence, b: Sequence) -> Optional[int]:
     # Partial sums x/den_a and y/den_b compare as x*den_b and y*den_a.
     if sums_a and sums_a[-1] * den_b != sums_b[-1] * den_a:
         raise ValueError(
-            f"total mismatch: {Fraction(sums_a[-1], den_a)} vs {Fraction(sums_b[-1], den_b)}"
+            f"total mismatch: {value_text(Fraction(sums_a[-1], den_a))} "
+            f"vs {value_text(Fraction(sums_b[-1], den_b))}"
         )
     for k, (x, y) in enumerate(zip(sums_a, sums_b), start=1):
         if x * den_b > y * den_a:
@@ -85,7 +88,7 @@ def lorenz_points(values: Iterable) -> list[tuple[Fraction, Fraction]]:
     sums = partial_sums(values)
     total = sums[-1] if sums else 0
     if total != 1:
-        raise ValueError(f"components must sum to 1, got {total}")
+        raise ValueError(f"components must sum to 1, got {value_text(total)}")
     n = len(sums)
     points = [(Fraction(0), Fraction(0))]
     points.extend((Fraction(k, n), s) for k, s in enumerate(sums, start=1))

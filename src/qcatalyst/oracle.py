@@ -24,7 +24,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .majorization import is_majorized_by
-from .rationals import HALF
+from .rationals import HALF, value_text
 from .spectra import CatalystSpectrum, Spectrum4, _two_qubit_parameter
 
 # 4n products of state and catalyst coefficients, sorted descending.
@@ -165,13 +165,14 @@ def grid_points(
     if type(denominator) is not int or not 1 <= denominator <= MAX_GRID_DENOMINATOR:
         raise ValueError(
             "grid denominator must be a positive integer up to "
-            f"{MAX_GRID_DENOMINATOR}, got {denominator!r}"
+            f"{MAX_GRID_DENOMINATOR}, got "
+            f"{value_text(denominator) if type(denominator) is int else repr(denominator)}"
         )
     extra = {HALF}
     if p_interval is not None:
         for endpoint in p_interval:
             if not HALF <= endpoint <= 1:
-                raise ValueError(f"interval endpoint {endpoint} outside [1/2, 1]")
+                raise ValueError(f"interval endpoint {value_text(endpoint)} outside [1/2, 1]")
             extra.add(endpoint)
     first = -(-denominator // 2)
     grid = [

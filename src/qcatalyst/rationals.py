@@ -83,6 +83,16 @@ def ratio_text(num: int, den: int) -> str:
         return f"{_int_text(num)}/{_int_text(den)}"
 
 
+def value_text(value: Union[ExtendedRational, int]) -> str:
+    """str(value) of an int, a Fraction or INFINITY, at any size; error
+    messages quote values through it."""
+    try:
+        return str(value)
+    except ValueError:  # a part over 4,300 digits
+        num, den = value.as_integer_ratio()
+        return _int_text(num) if den == 1 else ratio_text(num, den)
+
+
 def decimal_text(num: int, den: int) -> tuple[str, bool]:
     """render_decimal of num/den, for ints with den > 0."""
     whole, rem = divmod(abs(num), den)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Union
 
-from .rationals import Rational, parse_rational
+from .rationals import Rational, parse_rational, value_text
 
 
 def _as_fraction(value: Rational | int | str) -> Fraction:
@@ -63,7 +63,8 @@ def _check_canonical(values: tuple[Fraction, ...], what: str) -> tuple[tuple[int
     if nums != sorted(nums, reverse=True):
         raise ValueError(f"{what} components must be sorted descending")
     if sum(nums) != den:
-        raise ValueError(f"{what} components must sum to 1, got {Fraction(sum(nums), den)}")
+        total = value_text(Fraction(sum(nums), den))
+        raise ValueError(f"{what} components must sum to 1, got {total}")
     return tuple(nums), den
 
 
@@ -71,7 +72,9 @@ def _two_qubit_parameter(p: Rational) -> tuple[int, int]:
     """(k, d) with p = k/d in lowest terms; raises unless 1/2 <= p <= 1."""
     k, d = _as_fraction(p).as_integer_ratio()
     if not d <= 2 * k <= 2 * d:
-        raise ValueError(f"two-qubit catalyst parameter must be in [1/2, 1], got {Fraction(k, d)}")
+        raise ValueError(
+            f"two-qubit catalyst parameter must be in [1/2, 1], got {value_text(Fraction(k, d))}"
+        )
     return k, d
 
 

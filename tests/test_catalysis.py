@@ -1,10 +1,13 @@
+import ast
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import qcatalyst
 from qcatalyst import (
     DegenerateSpectrumError,
     EpsilonTriple,
@@ -144,6 +147,21 @@ class TestAnalyze:
             or getattr(value, "__module__", None) == majorization.__name__
         ]
         assert borrowed == []
+
+    def test_package_has_no_assert(self):
+        # Invariants must hold under python -O and fail with a message, never
+        # a traceback: no assert statement and no raised AssertionError.
+        found = []
+        for path in sorted(Path(qcatalyst.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                raised = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(raised, ast.Call):
+                    raised = raised.func
+                if isinstance(node, ast.Assert) or (
+                    isinstance(raised, ast.Name) and raised.id == "AssertionError"
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 class TestIsValidCatalyst:

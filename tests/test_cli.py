@@ -511,15 +511,67 @@ class TestConstruct:
         assert code == 0
         assert json.loads(out)["mu"]["exact"] == "1/20"
 
-    @pytest.mark.parametrize("big_m0", ["1/1000", "1/2", "999/1000"])
+    @pytest.mark.parametrize(
+        "big_m0",
+        [
+            "1/1000",
+            "1/2",
+            "999/1000",
+            pytest.param("0." + "9" * 400, id="0.9x400"),
+            pytest.param("0." + "9" * 4290, id="0.9x4290"),
+        ],
+    )
     @pytest.mark.parametrize("m0", ["1e400", "1e4300"])
     def test_huge_m0_verifies(self, capsys, m0, big_m0):
-        # A valid mu lies about log2(m0) halvings below the bound.
+        # The default mu is bound / 2**(j+1) with j about log2(m0), 1,328 at
+        # 1e400.  With M0 near 1, a search halving down from the bound needs
+        # that many steps.
         code, out, err = run(capsys, ["construct", "--m0", m0, "--M0", big_m0])
         assert (code, err) == (0, "")
         doc = json.loads(out)
         assert doc["recomputed_m"]["exact"] == render_rational(parse_rational(m0))
-        assert doc["recomputed_M"]["exact"] == big_m0
+        assert doc["recomputed_M"]["exact"] == render_rational(parse_rational(big_m0))
+
+
+class TestHugeValuesInErrors:
+    # str() refuses ints over 4,300 digits; the messages still give the reason.
+    TINY = "1e-4300"
+    UNIFORM = "1/4,1/4,1/4,1/4"
+    OFF_SUM = "1/4,1/4,1/4," + TINY
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (
+                ["validate", "--source", UNIFORM, "--target", UNIFORM, "--p", TINY],
+                "two-qubit catalyst parameter must be in [1/2, 1], got 1/1000",
+            ),
+            (
+                ["analyze", "--source", OFF_SUM, "--target", UNIFORM],
+                "source: spectrum components must sum to 1, got 75000",
+            ),
+            (
+                ["check-locc", "--source", OFF_SUM, "--target", UNIFORM],
+                "source: spectrum components must sum to 1, got 75000",
+            ),
+            (["construct", "--m0=-" + TINY, "--M0", "1/2"], "m0 must be positive, got -1/1000"),
+            (
+                ["construct", "--m0", "1/2", "--M0", "1/3", "--mu=-" + TINY],
+                "mu must be positive, got -1/1000",
+            ),
+            (
+                ["construct", "--m0", "1/2", "--M0=" + TINY, "--mu", "1/2"],
+                "mu = 1/2 violates the construction invariants for m0=1/2, M0=1/1000",
+            ),
+        ],
+        ids=["validate-p", "analyze-sum", "check-locc-sum", "construct-m0", "construct-mu",
+             "construct-M0"],
+    )
+    def test_message_names_the_reason(self, capsys, argv, reason):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + reason)
+        assert "Exceeds the limit" not in err
 
 
 class TestLorenz:

@@ -288,13 +288,18 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="positive"):
             sweep_grid(0)
 
-    @pytest.mark.parametrize("denominator", [True, "5", 100_001])
+    @pytest.mark.parametrize(
+        "denominator", [True, "5", 100_001, pytest.param(10**5000, id="10**5000")]
+    )
     def test_denominator_must_be_an_int(self, denominator):
         # bool is an int subclass; True is not a denominator of 1.  Above
-        # 100,000 the grid itself would take seconds to build.
+        # 100,000 the grid itself would take seconds to build.  str() refuses
+        # 10**5000, yet the message still names the reason.
         with pytest.raises(ValueError, match="positive integer"):
             sweep_grid(denominator)
 
     def test_endpoint_range_validation(self):
         with pytest.raises(ValueError, match="outside"):
             sweep_grid(10, (F(1, 4), F(3, 5)))
+        with pytest.raises(ValueError, match="outside"):
+            sweep_grid(10, (F(1, 10**5000), F(3, 5)))

@@ -10,6 +10,7 @@ from qcatalyst import (
     render_decimal,
     render_rational,
 )
+from qcatalyst.rationals import value_text
 
 
 class TestParseRational:
@@ -146,6 +147,15 @@ class TestRenderingContract:
         value = Fraction(BIG, 10**5000)
         assert render_decimal(value) == ("1.000000000000", False)
         assert render_rational(value) == BIG_TEXT + "/1" + "0" * 5000
+
+    @pytest.mark.parametrize("value", [0, -7, Fraction(3), Fraction(-2, 3), INFINITY])
+    def test_value_text_is_str(self, value):
+        assert value_text(value) == str(value)
+
+    def test_value_text_over_4300_digits(self):
+        assert value_text(BIG) == BIG_TEXT
+        assert value_text(Fraction(BIG)) == BIG_TEXT
+        assert value_text(Fraction(-1, 10**5000)) == "-1/1" + "0" * 5000
 
 
 class TestOrdering:
