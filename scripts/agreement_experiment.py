@@ -11,10 +11,10 @@ import argparse
 import random
 import sys
 import time
-from fractions import Fraction as F
 from pathlib import Path
 
-# The pair generator is the test suite's, so both draw the same pairs.
+# The pair generator and the p grid are the test suite's, so both check the
+# same points.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from qcatalyst import (  # noqa: E402
@@ -22,20 +22,9 @@ from qcatalyst import (  # noqa: E402
     analyze,
     is_valid_catalyst,
     oracle_valid_catalyst,
-    sweep_grid,
     two_qubit_catalyst,
 )
-from qcatalyst.rationals import HALF  # noqa: E402
-from support import random_star_pair  # noqa: E402
-
-
-def p_grid(report, lattice_denominator):
-    points = set(sweep_grid(lattice_denominator, report.p_interval))
-    if report.p_interval is not None:
-        low, high = report.p_interval
-        points.add(low - min(F(1, 997), low - HALF) / 2)
-        points.add(high + min(F(1, 997), 1 - high) / 2)
-    return sorted(points)
+from support import p_grid, random_star_pair  # noqa: E402
 
 
 def main():

@@ -94,6 +94,13 @@ def _spectrum(values, label: str) -> Spectrum4:
         raise InputError(f"{label}: {exc}") from None
 
 
+def _json_int(text: str) -> int | str:
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _load_document() -> dict:
     if sys.stdin is None or sys.stdin.isatty():
         state = "closed" if sys.stdin is None else "a terminal"
@@ -103,8 +110,9 @@ def _load_document() -> dict:
         )
     try:
         # Numbers keep their literal text, so parse_rational reads them
-        # exactly instead of through a binary float.
-        document = json.load(sys.stdin, parse_float=str)
+        # exactly instead of through a binary float; so do integers past
+        # int()'s digit limit, so that the CLI names what is wrong with them.
+        document = json.load(sys.stdin, parse_float=str, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON request document: {exc}") from None
     except RecursionError:
@@ -313,7 +321,7 @@ def _build_parser() -> _Parser:
     sub = command("construct", "build a pair with prescribed bounds", _cmd_construct, ("m0", "M0"))
     sub.add_argument("--m0", help="target lower ratio bound, m0 > 0")
     sub.add_argument("--M0", help="target upper ratio bound, 0 < M0 < 1")
-    sub.add_argument("--mu", help="pin the perturbation size instead of searching")
+    sub.add_argument("--mu", help="pin the perturbation size mu > 0 instead of the closed form")
 
     sub = command("lorenz", "Lorenz curve points (CSV)", _cmd_lorenz, ("spectra",))
     sub.add_argument("spectra", nargs="*", type=_csv_list, help="spectra, e.g. 0.4,0.4,0.1,0.1")

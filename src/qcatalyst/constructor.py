@@ -62,20 +62,14 @@ def _validate_targets(m0: Fraction, M0: Fraction) -> None:
 
 
 def mu_admissible_bound(m0: Rational, M0: Rational) -> Fraction:
-    """Initial upper bound for the perturbation size mu.
-
-    Necessary but not always sufficient: the default mu is the first of
-    bound/2, bound/4, ... within the limits of the module docstring.
+    """The base of the closed-form mu: min((1-M0)/(1+M0), (1-h)/(2 M0+1)) / 2
+    with h = min(m0, 1)/2.  The default mu is bound / 2**(j+1), the first of
+    bound/2, bound/4, ... within the five limits of the module docstring.
     """
     m0 = _as_fraction(m0)
     M0 = _as_fraction(M0)
     _validate_targets(m0, M0)
-    first = HALF * (1 - M0) / (1 + M0)
-    if m0 <= 1:
-        second = HALF * (1 - m0 / 2) / (1 + 2 * M0)
-    else:
-        second = HALF * HALF / (1 + 2 * M0)
-    return min(first, second)
+    return min(HALF * (1 - M0) / (1 + M0), HALF * (1 - min(m0 / 2, HALF)) / (1 + 2 * M0))
 
 
 def _profile(m0: Fraction) -> tuple[Branch, Fraction, Fraction, Fraction]:
@@ -86,10 +80,9 @@ def _profile(m0: Fraction) -> tuple[Branch, Fraction, Fraction, Fraction]:
     return Branch.M0_GT_1, Fraction(4, 9), HALF, Fraction(1, 4)
 
 
-def _first_admissible_mu(m0: Fraction, M0: Fraction) -> Fraction:
+def _first_admissible_mu(m0: Fraction, M0: Fraction, h: Fraction, q: Fraction) -> Fraction:
     """The first mu = bound / 2**(j+1), j >= 0, within all five limits of the
     module docstring; every earlier one fails to verify."""
-    _, _, h, q = _profile(m0)
     limit = min(
         (1 - h) / (m0 + 2),
         (h - q) / ((2 * M0 + 1) * m0),
@@ -102,29 +95,6 @@ def _first_admissible_mu(m0: Fraction, M0: Fraction) -> Fraction:
     # The least power 2**(j+1) >= n/d, i.e. >= ceil(n/d), is 2**bit_length(ceil(n/d) - 1).
     j = max((-(-n // d) - 1).bit_length() - 1, 0)
     return bound / 2 ** (j + 1)
-
-
-def _try_build(m0: Fraction, M0: Fraction, mu: Fraction) -> Optional[ConstructionResult]:
-    """Build the pair for this mu; None when any invariant fails."""
-    branch, a, h, q = _profile(m0)
-    source_values = (
-        a * (1 - mu),
-        a * (h + (m0 + 1) * mu),
-        a * (h - (M0 + 1) * m0 * mu),
-        a * (q + M0 * m0 * mu),
-    )
-    target_values = (a, a * h, a * h, a * q)
-    try:
-        source = Spectrum4(source_values)
-        target = Spectrum4(target_values)
-    except ValueError:
-        return None
-    eps = epsilon_decompose(source, target)
-    if eps != EpsilonTriple(mu * a, m0 * mu * a, M0 * m0 * mu * a):
-        return None
-    if compute_m(source, eps) != m0 or compute_M(source, eps) != M0:
-        return None
-    return ConstructionResult(source, target, mu, branch)
 
 
 def construct_states(
@@ -140,16 +110,33 @@ def construct_states(
     m0 = _as_fraction(m0)
     M0 = _as_fraction(M0)
     _validate_targets(m0, M0)
+    branch, a, h, q = _profile(m0)
     if mu is None:
-        mu = _first_admissible_mu(m0, M0)
+        mu = _first_admissible_mu(m0, M0, h, q)
     else:
         mu = _as_fraction(mu)
         if mu <= 0:
             raise ValueError(f"mu must be positive, got {value_text(mu)}")
-    result = _try_build(m0, M0, mu)
-    if result is None:
+    try:
+        source = Spectrum4((
+            a * (1 - mu),
+            a * (h + (m0 + 1) * mu),
+            a * (h - (M0 + 1) * m0 * mu),
+            a * (q + M0 * m0 * mu),
+        ))
+        target = Spectrum4((a, a * h, a * h, a * q))
+    except ValueError:  # the source is out of order or negative
+        verified = False
+    else:
+        eps = epsilon_decompose(source, target)
+        verified = (
+            eps == EpsilonTriple(mu * a, m0 * mu * a, M0 * m0 * mu * a)
+            and compute_m(source, eps) == m0
+            and compute_M(source, eps) == M0
+        )
+    if not verified:
         raise ValueError(
             f"mu = {value_text(mu)} violates the construction invariants "
             f"for m0={value_text(m0)}, M0={value_text(M0)}"
         )
-    return result
+    return ConstructionResult(source, target, mu, branch)

@@ -18,7 +18,8 @@ from pathlib import Path
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from qcatalyst import Spectrum4, make_spectrum
+from qcatalyst import Spectrum4, make_spectrum, sweep_grid
+from qcatalyst.rationals import HALF
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,6 +85,18 @@ def random_star_pair(
         if force_eps3_zero:
             e3 = 0
         return _pair_from_integers(parts, e1, e2, e3, d)
+
+
+def p_grid(report, lattice_denominator: int) -> list[Fraction]:
+    """The p values that referee a report: sweep_grid's lattice over [1/2, 1]
+    (with the exact interval endpoints), plus one point just outside each
+    end of the interval."""
+    points = set(sweep_grid(lattice_denominator, report.p_interval))
+    if report.p_interval is not None:
+        low, high = report.p_interval
+        points.add(low - min(Fraction(1, 997), low - HALF) / 2)
+        points.add(high + min(Fraction(1, 997), 1 - high) / 2)
+    return sorted(points)
 
 
 def satisfies_star(source: Spectrum4, target: Spectrum4) -> bool:

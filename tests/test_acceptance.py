@@ -34,7 +34,7 @@ from qcatalyst import (
 )
 from qcatalyst.rationals import HALF
 
-from support import random_star_pair
+from support import p_grid, random_star_pair
 
 F = Fraction
 
@@ -79,17 +79,6 @@ def star_pair_corpus():
         for _ in range(4_000)
     )
     return corpus
-
-
-def _p_grid(report) -> list[Fraction]:
-    """20 lattice points over [1/2, 1], plus exact interval endpoints and
-    points just outside the interval."""
-    points = set(sweep_grid(38, report.p_interval))
-    if report.p_interval is not None:
-        low, high = report.p_interval
-        points.add(low - min(F(1, 997), low - HALF) / 2)
-        points.add(high + min(F(1, 997), 1 - high) / 2)
-    return sorted(points)
 
 
 @criterion(1, "catalyzable worked example: exact bounds, interval, and catalyst")
@@ -164,7 +153,8 @@ def test_criterion_5_theorem_oracle_equivalence(star_pair_corpus):
     assert len(star_pair_corpus) >= 10_000
     for source, target in star_pair_corpus:
         report = analyze(source, target)
-        grid = _p_grid(report)
+        # Denominator 38 puts 20 lattice points on [1/2, 1].
+        grid = p_grid(report, 38)
         assert len(grid) >= 20
         for p in grid:
             predicted = is_valid_catalyst(source, target, p)
@@ -190,7 +180,7 @@ def test_criterion_6_closed_form_consistency(star_pair_corpus):
         pairs += 1
         eps = epsilon_decompose(source, target)
         low, high = report.p_interval
-        for p in _p_grid(report):
+        for p in p_grid(report, 38):
             if not low <= p <= high:
                 continue
             expected = partial_sums(augment(target, two_qubit_catalyst(p)))

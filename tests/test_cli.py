@@ -635,6 +635,42 @@ class TestStdinDocument:
         assert (code, out) == (1, "")
         assert err == "error: invalid JSON request document: nested too deeply\n"
 
+    PAIR = '"source": ["0.4", "0.4", "0.1", "0.1"], "target": ["0.5", "0.25", "0.25", "0"]'
+
+    @pytest.mark.parametrize(
+        "argv,stdin,reason",
+        [
+            (
+                ["construct"],
+                '{"m0": ' + "1" * 5000 + ', "M0": "1/2"}',
+                "m0: rational '111",
+            ),
+            (
+                ["sweep"],
+                "{" + PAIR + ', "grid_denominator": ' + "1" * 5000 + "}",
+                "grid denominator must be a positive integer up to 100000, got '111",
+            ),
+        ],
+        ids=["construct-m0", "sweep-denominator"],
+    )
+    def test_overlong_document_integer_named(self, capsys, monkeypatch, argv, stdin, reason):
+        # json.load's int() refuses a literal over 4,300 digits with CPython's
+        # own ValueError; the CLI must still say which value is wrong and why.
+        code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + reason)
+        assert "Exceeds the limit" not in err
+        if argv == ["construct"]:
+            assert err.endswith("has a number over 4300 digits\n")
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_document_integer_at_the_digit_limit_stays_an_int(self, capsys, monkeypatch, sign):
+        stdin = "{" + self.PAIR + ', "grid_denominator": ' + sign + "9" * 4300 + "}"
+        code, out, err = run(capsys, ["sweep"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        reason = "grid denominator must be a positive integer up to 100000"
+        assert err == f"error: {reason}, got {sign}{'9' * 4300}\n"
+
 
 HELP_GOLDEN = json.loads((Path(__file__).with_name("cli_help_golden.json")).read_text())
 

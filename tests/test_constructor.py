@@ -144,3 +144,48 @@ class TestMuSearch:
     def test_same_mu_as_the_uncapped_halving(self, m0_num, m0_den, big):
         m0 = F(m0_num, m0_den)
         assert construct_states(m0, big).mu == first_verifying_halving(m0, big)
+
+
+def least_limit(m0, big):
+    """L, the least of the module docstring's five limits on mu, from the
+    target profile (h, q) alone."""
+    h, q = (m0 / 2, m0 * m0 / 4) if m0 <= 1 else (F(1, 2), F(1, 4))
+    return min(
+        (1 - h) / (m0 + 2),
+        (h - q) / ((2 * big + 1) * m0),
+        1 - h / m0,
+        (m0 * h - q) / m0**2,
+        h * (1 - big) / (m0 * (1 + big)),
+    )
+
+
+class TestPinnedMu:
+    @given(
+        st.one_of(
+            st.fractions(F(1, 100), 10, max_denominator=100),
+            st.sampled_from([F(1, 10**60), F(10**60)]),
+        ),
+        st.one_of(
+            st.fractions(F(1, 1000), F(999, 1000), max_denominator=1000),
+            st.integers(1, 60).map(lambda k: 1 - F(1, 10**k)),
+        ),
+        st.one_of(
+            st.sampled_from([F(1), 1 + F(1, 10**30), F(1, 2)]),
+            st.integers(1, 2000).map(lambda k: F(k, 1000)),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verifies_exactly_up_to_the_least_limit(self, m0, big, scale):
+        limit = least_limit(m0, big)
+        mu = scale * limit
+        if mu <= limit:
+            result = construct_states(m0, big, mu)
+            assert result.mu == mu
+            eps = epsilon_decompose(result.source, result.target)
+            assert (compute_m(result.source, eps), compute_M(result.source, eps)) == (m0, big)
+        else:
+            with pytest.raises(ValueError) as raised:
+                construct_states(m0, big, mu)
+            assert str(raised.value) == (
+                f"mu = {mu} violates the construction invariants for m0={m0}, M0={big}"
+            )

@@ -1,0 +1,103 @@
+"""The contract of the five value types: frozen, copyable, picklable, and
+equal (with equal hashes) whenever they describe the same value.
+
+The checks go through the public constructors and attribute names only, so
+they hold for any implementation of the types, dataclass or not.
+"""
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from qcatalyst import (
+    CatalystSpectrum,
+    ConstructionResult,
+    EpsilonTriple,
+    FeasibilityReport,
+    Spectrum4,
+    analyze,
+    construct_states,
+    make_catalyst,
+    make_spectrum,
+    two_qubit_catalyst,
+)
+
+F = Fraction
+
+REPORT_FIELDS = ("m", "M", "star_violation")
+
+# (value, its fields): one or more values of each type.
+VALUES = [
+    (make_spectrum(["0.4", "0.4", "0.1", "0.1"]), ("alpha",)),
+    (make_spectrum(["1/2", "1/4", "1/4", "0"]), ("alpha",)),
+    (make_catalyst(["2/5", "3/5"]), ("kappa",)),
+    (make_catalyst(["1/6", "1/2", "1/3"]), ("kappa",)),
+    (EpsilonTriple(F(9, 160), F(6, 160), F(2, 160)), ("eps1", "eps2", "eps3")),
+    # Catalyzable, LOCC already possible, star violated, and m = +infinity.
+    *(
+        (analyze(make_spectrum(s.split(",")), make_spectrum(t.split(","))), REPORT_FIELDS)
+        for s, t in [
+            ("0.4,0.4,0.1,0.1", "0.5,0.25,0.25,0"),
+            ("0.5,0.25,0.25,0", "1,0,0,0"),
+            ("0.5,0.25,0.25,0", "0.4,0.4,0.1,0.1"),
+            ("0.5,0.3,0.1,0.1", "0.5,0.2,0.2,0.1"),
+        ]
+    ),
+    (construct_states(F(2, 3), F(1, 3)), ("source", "target", "mu", "branch")),
+]
+IDS = [f"{type(value).__name__}{i}" for i, (value, _) in enumerate(VALUES)]
+
+
+def test_every_type_is_covered():
+    types = {type(value) for value, _ in VALUES}
+    assert types == {
+        Spectrum4, CatalystSpectrum, EpsilonTriple, FeasibilityReport, ConstructionResult
+    }
+    reports = [value for value, _ in VALUES if isinstance(value, FeasibilityReport)]
+    assert len({report.verdict for report in reports}) == 3
+    assert any(report.m == float("inf") for report in reports)
+
+
+@pytest.mark.parametrize("value,fields", VALUES, ids=IDS)
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_duplicates_are_equal(value, fields, duplicate):
+    twin = duplicate(value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value)
+    assert all(getattr(twin, name) == getattr(value, name) for name in fields)
+
+
+@pytest.mark.parametrize("value,fields", VALUES, ids=IDS)
+def test_frozen(value, fields):
+    before = [getattr(value, name) for name in fields]
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in fields] == before
+
+
+def test_spectra_from_different_orders_are_one_value():
+    source = make_spectrum(["0.4", "0.4", "0.1", "0.1"])
+    reordered = make_spectrum([F(1, 10), "2/5", "0.1", F(2, 5)])
+    target = make_spectrum(["0.5", "0.25", "0.25", "0"])
+    retarget = make_spectrum(["0", "1/4", "0.5", F(1, 4)])
+    assert (reordered, retarget) == (source, target)
+    assert (hash(reordered), hash(retarget)) == (hash(source), hash(target))
+
+    analyze.cache_clear()
+    first = analyze(source, target)
+    assert analyze(reordered, retarget) is first
+    assert analyze.cache_info().hits == 1
+
+
+def test_catalysts_from_different_orders_are_one_value():
+    catalyst = make_catalyst(["3/5", "2/5"])
+    for twin in (make_catalyst(["0.4", "0.6"]), two_qubit_catalyst(F(3, 5))):
+        assert twin == catalyst and hash(twin) == hash(catalyst)
