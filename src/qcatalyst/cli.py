@@ -153,11 +153,11 @@ def _spectrum_pair(request: dict) -> tuple[Spectrum4, Spectrum4]:
 
 def _cmd_check_locc(request: dict) -> dict:
     source, target = _spectrum_pair(request)
-    violated = first_violated_index(source.alpha, target.alpha)
+    violated = first_violated_index(source, target)
     return {
         "possible": violated is None,
-        "partial_sums_source": _rational_strings(partial_sums(source.alpha)),
-        "partial_sums_target": _rational_strings(partial_sums(target.alpha)),
+        "partial_sums_source": _rational_strings(partial_sums(source)),
+        "partial_sums_target": _rational_strings(partial_sums(target)),
         "first_violated_index": violated,
     }
 

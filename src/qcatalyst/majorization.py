@@ -14,14 +14,16 @@ from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .rationals import value_text
-from .spectra import Spectrum4, _as_fraction, _integer_form
+from .spectra import AugmentedSpectrum, CatalystSpectrum, Spectrum4, _as_fraction, _integer_form
 
 PartialSums = tuple[Fraction, ...]
 
 
-def _scaled(values: Iterable) -> tuple[list[int], int]:
-    """``values`` as integer numerators over their lcm denominator, sorted
+def _scaled(values: Iterable) -> tuple[Sequence[int], int]:
+    """``values`` as integer numerators over a common denominator, sorted
     descending; raises on a negative component."""
+    if isinstance(values, (Spectrum4, CatalystSpectrum, AugmentedSpectrum)):
+        return values.scaled
     nums, den = _integer_form([_as_fraction(v) for v in values])
     nums.sort(reverse=True)
     if nums and nums[-1] < 0:
@@ -75,7 +77,7 @@ def first_violated_index(a: Sequence, b: Sequence) -> Optional[int]:
 def locc_possible(source: Spectrum4, target: Spectrum4) -> bool:
     """Nielsen's criterion: source -> target works under LOCC iff source
     is majorized by target."""
-    return is_majorized_by(source.alpha, target.alpha)
+    return is_majorized_by(source, target)
 
 
 def lorenz_points(values: Iterable) -> list[tuple[Fraction, Fraction]]:

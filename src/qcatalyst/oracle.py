@@ -25,10 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .majorization import is_majorized_by
 from .rationals import HALF, value_text
-from .spectra import CatalystSpectrum, Spectrum4, _two_qubit_parameter
-
-# 4n products of state and catalyst coefficients, sorted descending.
-AugmentedSpectrum = tuple[Fraction, ...]
+from .spectra import AugmentedSpectrum, CatalystSpectrum, Spectrum4, _two_qubit_parameter
 
 # Sorted disjoint closed intervals (lo, hi) of p; lo == hi for a lone point.
 PSet = tuple[tuple[Fraction, Fraction], ...]
@@ -48,7 +45,7 @@ def _products(alpha: Sequence[int], kappa: Sequence[int]) -> list[int]:
 def augment(state: Spectrum4, catalyst: CatalystSpectrum) -> AugmentedSpectrum:
     """All products state[i] * catalyst[j], sorted descending (on the ints)."""
     (alpha, den_a), (kappa, den_k) = state.scaled, catalyst.scaled
-    return tuple([Fraction(n, den_a * den_k) for n in _products(alpha, kappa)])
+    return AugmentedSpectrum((tuple(_products(alpha, kappa)), den_a * den_k))
 
 
 def oracle_valid_catalyst(

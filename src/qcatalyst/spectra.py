@@ -123,6 +123,33 @@ class CatalystSpectrum:
         return self.kappa[index]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class AugmentedSpectrum:
+    """Sorted products of a state and a catalyst, as ints over den_state *
+    den_catalyst; it reads, compares and hashes as its tuple of Fractions."""
+
+    scaled: tuple[tuple[int, ...], int]
+
+    def __iter__(self) -> Iterator[Fraction]:
+        nums, den = self.scaled
+        return iter([Fraction(n, den) for n in nums])
+
+    def __len__(self) -> int:
+        return len(self.scaled[0])
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, AugmentedSpectrum) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class EpsilonTriple:
     """Valid slack decomposition: eps1 >= 0, eps2 > 0, eps3 >= 0."""
@@ -164,8 +191,7 @@ def make_spectrum(values: Iterable[Rational | int | str]) -> Spectrum4:
 
 def make_catalyst(values: Iterable[Rational | int | str]) -> CatalystSpectrum:
     """Build a canonical catalyst spectrum from components in any order."""
-    kappa = tuple(sorted((_as_fraction(v) for v in values), reverse=True))
-    return CatalystSpectrum(kappa)
+    return CatalystSpectrum(tuple(sorted((_as_fraction(v) for v in values), reverse=True)))
 
 
 def two_qubit_catalyst(p: Rational) -> CatalystSpectrum:
@@ -174,7 +200,11 @@ def two_qubit_catalyst(p: Rational) -> CatalystSpectrum:
     Raises ValueError when p is outside [1/2, 1].
     """
     k, d = _two_qubit_parameter(p)
-    return CatalystSpectrum((Fraction(k, d), Fraction(d - k, d)))
+    # Canonical by construction (d <= 2k <= 2d): CatalystSpectrum's check is skipped.
+    catalyst = object.__new__(CatalystSpectrum)
+    object.__setattr__(catalyst, "kappa", (Fraction(k, d), Fraction(d - k, d)))
+    object.__setattr__(catalyst, "scaled", ((k, d - k), d))
+    return catalyst
 
 
 def epsilon_decompose(

@@ -13,12 +13,13 @@ import math
 import os
 import random
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from qcatalyst import Spectrum4, make_spectrum, sweep_grid
+from qcatalyst import CatalystSpectrum, Spectrum4, make_catalyst, make_spectrum, sweep_grid
 from qcatalyst.rationals import HALF
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,6 +113,19 @@ def satisfies_star(source: Spectrum4, target: Spectrum4) -> bool:
     )
 
 
+def reference_oracle(
+    source: Spectrum4, target: Spectrum4, catalyst: CatalystSpectrum
+) -> bool:
+    """Whether source (x) catalyst is majorized by target (x) catalyst, in
+    plain Fraction arithmetic on the public components: the products, one
+    sort each, and partial sums compared as Fractions.  No integer form and
+    no call into oracle or majorization, so it referees both."""
+    def augmented_sums(state: Spectrum4) -> list[Fraction]:
+        return list(accumulate(sorted((x * c for x in state for c in catalyst), reverse=True)))
+
+    return all(x <= y for x, y in zip(augmented_sums(source), augmented_sums(target)))
+
+
 def power_sums_allow_catalysis(source: Spectrum4, target: Spectrum4) -> bool:
     """Necessary conditions for source -> target with a catalyst of any size.
 
@@ -187,6 +201,15 @@ def coprime_star_pairs(draw, feasible_leaning: bool = False) -> tuple[Spectrum4,
     # Over d1*d2 the source is parts*d2 and each slack e is e*d1.
     scaled = tuple(x * d2 for x in parts)
     return _pair_from_integers(scaled, e1 * d1, e2 * d1, e3 * d1, d1 * d2)
+
+
+@st.composite
+def catalysts(draw, max_length: int = 5, max_denominator: int = 10**7) -> CatalystSpectrum:
+    """A catalyst of 1 to max_length components over one denominator of up
+    to max_denominator."""
+    d = draw(st.integers(1, max_denominator))
+    cuts = sorted(draw(st.lists(st.integers(0, d), max_size=max_length - 1)))
+    return make_catalyst(Fraction(b - a, d) for a, b in zip([0, *cuts], [*cuts, d]))
 
 
 @st.composite

@@ -1,3 +1,6 @@
+import cProfile
+import fractions
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from qcatalyst import (
     augment,
     construct_states,
     feasible_p_set,
+    first_violated_index,
     is_majorized_by,
     locc_possible,
     make_catalyst,
@@ -19,11 +23,14 @@ from qcatalyst import (
     sweep_grid,
     two_qubit_catalyst,
 )
+from qcatalyst.oracle import AugmentedSpectrum
 
 from support import (
     catalyst_params,
+    catalysts,
     coprime_star_pairs,
     power_sums_allow_catalysis,
+    reference_oracle,
     spectra,
     star_pairs,
 )
@@ -115,6 +122,77 @@ def constructed_pairs(draw):
 # Pairs that often reach the catalyzable regime, which arbitrary pairs rarely do.
 catalyzable_leaning = st.one_of(star_pairs(feasible_leaning=True), constructed_pairs())
 any_pairs = st.one_of(st.tuples(spectra(), spectra()), star_pairs(), catalyzable_leaning)
+
+
+def fractions_built(fn, *args) -> int:
+    """How many Fractions one call of fn(*args) creates, under cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args)
+    return sum(
+        calls
+        for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if path == fractions.__file__ and name == "__new__"
+    )
+
+
+def violation_or_message(a, b):
+    """first_violated_index(a, b), or the message of its ValueError."""
+    try:
+        return first_violated_index(a, b)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestOnTheIntegers:
+    def test_no_fraction_per_check(self):
+        catalyst = two_qubit_catalyst(F(3, 5))
+        assert fractions_built(oracle_valid_catalyst, CAT_SOURCE, CAT_TARGET, catalyst) == 0
+        # The count sees Fractions where they are made: when the products are read.
+        assert fractions_built(tuple, augment(CAT_SOURCE, catalyst)) == 8
+
+    def test_mismatch_messages_match_the_fraction_tuples(self):
+        a = augment(CAT_SOURCE, WORKED_CATALYST)
+        longer = augment(CAT_TARGET, make_catalyst(["0.5", "0.3", "0.2"]))
+        halved = AugmentedSpectrum((a.scaled[0], 2 * a.scaled[1]))
+        for b, message in [(longer, "length mismatch: 8 vs 12"), (halved, "total mismatch: 1 vs 1/2")]:
+            assert violation_or_message(a, b) == message
+            assert violation_or_message(tuple(a), tuple(b)) == message
+
+    @given(st.one_of(any_pairs, coprime_star_pairs()), catalysts(), catalysts(), st.integers(0, 2))
+    @settings(max_examples=200)
+    def test_first_violated_index_reads_the_ints_as_the_fractions(self, pair, c1, c2, shift):
+        # Catalysts of different lengths give a length mismatch, and a
+        # shifted denominator (shift > 0) a total mismatch.
+        source, target = pair
+        a = augment(source, c1)
+        nums, den = augment(target, c2).scaled
+        b = AugmentedSpectrum((nums, den + shift))
+        assert violation_or_message(a, b) == violation_or_message(tuple(a), tuple(b))
+
+
+class TestAgainstFractionReference:
+    @given(any_pairs, catalysts())
+    @settings(max_examples=200)
+    def test_catalysts_of_any_length(self, pair, catalyst):
+        assert oracle_valid_catalyst(*pair, catalyst) == reference_oracle(*pair, catalyst)
+
+    @given(
+        st.one_of(coprime_star_pairs(), coprime_star_pairs(feasible_leaning=True)),
+        st.one_of(catalysts(), st.builds(two_qubit_catalyst, catalyst_params(10**7))),
+    )
+    @settings(max_examples=100)
+    def test_large_denominators(self, pair, catalyst):
+        assert oracle_valid_catalyst(*pair, catalyst) == reference_oracle(*pair, catalyst)
+
+    @given(catalyzable_leaning)
+    @settings(max_examples=100)
+    def test_at_the_ends_of_the_feasible_set(self, pair):
+        # Where the verdict turns: each end of the set and just outside it.
+        just = F(1, 10**9)
+        for lo, hi in feasible_p_set(*pair):
+            for p in {lo, hi, max(lo - just, F(1, 2)), min(hi + just, F(1))}:
+                catalyst = two_qubit_catalyst(p)
+                assert oracle_valid_catalyst(*pair, catalyst) == reference_oracle(*pair, catalyst)
 
 
 def crossings(state):

@@ -1,5 +1,7 @@
 """The contract of the five value types: frozen, copyable, picklable, and
-equal (with equal hashes) whenever they describe the same value.
+equal (with equal hashes) whenever they describe the same value.  The
+oracle's AugmentedSpectrum keeps the same contract and, in addition, reads
+as the tuple of its Fractions.
 
 The checks go through the public constructors and attribute names only, so
 they hold for any implementation of the types, dataclass or not.
@@ -9,6 +11,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
 
 from qcatalyst import (
     CatalystSpectrum,
@@ -17,11 +20,15 @@ from qcatalyst import (
     FeasibilityReport,
     Spectrum4,
     analyze,
+    augment,
     construct_states,
     make_catalyst,
     make_spectrum,
     two_qubit_catalyst,
 )
+from qcatalyst.oracle import AugmentedSpectrum
+
+from support import catalyst_params
 
 F = Fraction
 
@@ -101,3 +108,43 @@ def test_catalysts_from_different_orders_are_one_value():
     catalyst = make_catalyst(["3/5", "2/5"])
     for twin in (make_catalyst(["0.4", "0.6"]), two_qubit_catalyst(F(3, 5))):
         assert twin == catalyst and hash(twin) == hash(catalyst)
+
+
+@given(catalyst_params(10**7))
+@example(F(1, 2))
+@example(F(1))
+def test_two_qubit_catalyst_is_make_catalyst(p):
+    built, reference = two_qubit_catalyst(p), make_catalyst([p, 1 - p])
+    assert built == reference and hash(built) == hash(reference)
+    assert built.scaled == reference.scaled and built.kappa == reference.kappa
+
+
+AUGMENTED = [
+    augment(make_spectrum(["0.4", "0.4", "0.1", "0.1"]), two_qubit_catalyst(F(3, 5))),
+    augment(make_spectrum(["1/2", "1/4", "1/4", "0"]), make_catalyst(["1/6", "1/2", "1/3"])),
+]
+
+
+@pytest.mark.parametrize("value", AUGMENTED)
+def test_augmented_spectrum_is_a_frozen_value(value):
+    for duplicate in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        test_duplicates_are_equal(value, ("scaled",), duplicate)
+    test_frozen(value, ("scaled",))
+
+
+def test_augmented_spectrum_reads_as_its_fraction_tuple():
+    value = AUGMENTED[0]
+    expected = tuple(F(x, 100) for x in (24, 24, 16, 16, 6, 6, 4, 4))
+    assert value == expected and expected == value
+    assert value != expected[:-1] and expected[:-1] != value
+    assert value != list(expected) and hash(value) == hash(expected)
+    assert len(value) == 8 and repr(value) == repr(expected)
+    assert [value[i] for i in range(-8, 8)] == [*expected, *expected]
+    assert value[1:4] == expected[1:4] and value[::-3] == expected[::-3]
+    assert all(type(x) is F for x in (*value, *value[:], value[-1]))
+    with pytest.raises(IndexError):
+        value[8]
+    # The same value over another denominator is equal, with an equal hash.
+    twin = AugmentedSpectrum(((24, 24, 16, 16, 6, 6, 4, 4), 100))
+    assert twin.scaled != value.scaled
+    assert twin == value and value == twin and hash(twin) == hash(value)
