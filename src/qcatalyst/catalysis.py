@@ -18,7 +18,6 @@ interval, as an independent cross-check surface.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +28,7 @@ from .spectra import (
     EpsilonTriple,
     Spectrum4,
     StarViolation,
+    _Frozen,
     _two_qubit_parameter,
     epsilon_decompose,
     two_qubit_catalyst,
@@ -50,8 +50,7 @@ class Verdict(Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(_Frozen):
     """Outcome of the full decision procedure for source -> target.
 
     No field set means LOCC already works; the ratio bounds m, M are present
@@ -59,21 +58,20 @@ class FeasibilityReport:
     The verdict is derived from these three fields.
     """
 
-    m: Optional[ExtendedRational] = None
-    M: Optional[Fraction] = None
-    star_violation: Optional[StarViolation] = None
+    __slots__ = _fields = ("m", "M", "star_violation")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: Optional[ExtendedRational] = None, M: Optional[Fraction] = None,
+                 star_violation: Optional[StarViolation] = None) -> None:
         # Real exceptions, not asserts: the invariants must hold under -O.  Any
         # valid slack triple gives m > 0 (or +infinity) and 0 <= M < 1.
-        m, M, violation = self.m, self.M, self.star_violation
         if m is None or M is None:
             valid = m is None and M is None
         else:
-            valid = violation is None and m > 0 and 0 <= M < 1
+            valid = star_violation is None and m > 0 and 0 <= M < 1
         if not valid:
-            shown = f"m={value_text(m)}, M={value_text(M)}, star_violation={violation}"
+            shown = f"m={value_text(m)}, M={value_text(M)}, star_violation={star_violation}"
             raise ValueError(f"inconsistent report: {shown}")
+        self._set(m=m, M=M, star_violation=star_violation)
 
     @property
     def verdict(self) -> Verdict:
@@ -165,15 +163,16 @@ def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:
     """
     k, d = _two_qubit_parameter(p)
     report = analyze(source, target)
-    verdict = report.verdict
-    if verdict is Verdict.LOCC_ALREADY_POSSIBLE:
+    m, M, violation = report.m, report.M, report.star_violation
+    if m is None and violation is None:
         raise ValueError(
             "transformation is already possible under LOCC; catalysis does not apply"
         )
-    if verdict is Verdict.INFEASIBLE:
+    # No ratio passes a star violation or m = +infinity (compute_m's INFINITY).
+    if violation is not None or m is INFINITY:
         return False
-    # m <= r = (d-k)/k <= M on ints; both bounds are finite when catalyzable.
-    (m_num, m_den), (M_num, M_den) = report.m.as_integer_ratio(), report.M.as_integer_ratio()
+    # m <= r = (d-k)/k <= M on ints, which no r passes when m > M.
+    (m_num, m_den), (M_num, M_den) = m.as_integer_ratio(), M.as_integer_ratio()
     return m_num * k <= (d - k) * m_den and (d - k) * M_den <= M_num * k
 
 

@@ -269,7 +269,7 @@ def _cmd_lorenz(request: dict) -> list[str]:
         lines.extend(
             f"{render_rational(k_over_n)},{render_rational(cumulative)},"
             f"{render_decimal(cumulative)[0]}"
-            for k_over_n, cumulative in lorenz_points(spectrum.alpha)
+            for k_over_n, cumulative in lorenz_points(spectrum)
         )
     return lines
 

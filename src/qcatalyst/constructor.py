@@ -27,14 +27,13 @@ is at most L, bound / 2^(j+1) with j read off a bit length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from .catalysis import compute_M, compute_m
 from .rationals import HALF, Rational, value_text
-from .spectra import EpsilonTriple, Spectrum4, _as_fraction, epsilon_decompose
+from .spectra import EpsilonTriple, Spectrum4, _as_fraction, _Frozen, epsilon_decompose
 
 
 class Branch(Enum):
@@ -42,12 +41,11 @@ class Branch(Enum):
     M0_GT_1 = "m0_gt_1"
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    source: Spectrum4
-    target: Spectrum4
-    mu: Fraction
-    branch: Branch
+class ConstructionResult(_Frozen):
+    __slots__ = _fields = ("source", "target", "mu", "branch")
+
+    def __init__(self, source: Spectrum4, target: Spectrum4, mu: Fraction, branch: Branch) -> None:
+        self._set(source=source, target=target, mu=mu, branch=branch)
 
     @property
     def a(self) -> Fraction:  # the scale; the target profile starts with 1

@@ -21,7 +21,6 @@ coefficient may only shrink.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -78,57 +77,57 @@ def _two_qubit_parameter(p: Rational) -> tuple[int, int]:
     return k, d
 
 
-@dataclass(frozen=True)
-class Spectrum4:
-    """Canonical four-component Schmidt spectrum (sorted descending, sum 1)."""
+class _Frozen:
+    """Base of the value types: read-only slots, set once by a checked
+    ``__init__`` whose arguments ``_fields`` names in order.  A value prints
+    as ``Type(field=value, ...)`` and compares and hashes by ``_key()``, those
+    arguments unless a class says otherwise; copy, deepcopy and pickle
+    rebuild it through ``__init__``, so a duplicate is checked again."""
 
-    alpha: tuple[Fraction, Fraction, Fraction, Fraction]
-    # Not compared: equal spectra have equal integer forms, so it is hashed instead.
-    scaled: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.alpha) != 4:
-            raise ValueError(f"spectrum needs exactly 4 components, got {len(self.alpha)}")
-        object.__setattr__(self, "scaled", _check_canonical(self.alpha, "spectrum"))
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _args(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    _key = _args
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.scaled)
+        return hash(self._key())
 
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.alpha)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __getitem__(self, index: int) -> Fraction:
-        return self.alpha[index]
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return type(self), self._args()
 
-@dataclass(frozen=True)
-class CatalystSpectrum:
-    """Canonical catalyst spectrum: n >= 1 components, sorted descending, sum 1."""
-
-    kappa: tuple[Fraction, ...]
-    scaled: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.kappa) < 1:
-            raise ValueError("catalyst needs at least one component")
-        object.__setattr__(self, "scaled", _check_canonical(self.kappa, "catalyst"))
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.kappa)
-
-    def __len__(self) -> int:
-        return len(self.kappa)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.kappa[index]
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({shown})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class AugmentedSpectrum:
-    """Sorted products of a state and a catalyst, as ints over den_state *
-    den_catalyst; it reads, compares and hashes as its tuple of Fractions."""
+class _Scaled(_Frozen):
+    """A value held as its integer form ``scaled``: numerators over one
+    denominator.  It reads as the tuple of its Fractions, and compares and
+    hashes by ``scaled``, which a canonical spectrum has exactly one of."""
 
-    scaled: tuple[tuple[int, ...], int]
+    __slots__ = _fields = ("scaled",)
+
+    def __init__(self, scaled: tuple[tuple[int, ...], int]) -> None:
+        object.__setattr__(self, "scaled", scaled)
+
+    def _key(self) -> tuple[tuple[int, ...], int]:
+        return self.scaled
 
     def __iter__(self) -> Iterator[Fraction]:
         nums, den = self.scaled
@@ -140,6 +139,49 @@ class AugmentedSpectrum:
     def __getitem__(self, index):
         return tuple(self)[index]
 
+
+class Spectrum4(_Scaled):
+    """Canonical four-component Schmidt spectrum (sorted descending, sum 1);
+    ``alpha`` is kept beside ``scaled``, so reading a component builds no Fraction."""
+
+    __slots__ = ("alpha",)
+    _fields = ("alpha",)
+
+    def __init__(self, alpha: tuple[Fraction, Fraction, Fraction, Fraction]) -> None:
+        if len(alpha) != 4:
+            raise ValueError(f"spectrum needs exactly 4 components, got {len(alpha)}")
+        self._set(alpha=alpha, scaled=_check_canonical(alpha, "spectrum"))
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return iter(self.alpha)
+
+    def __getitem__(self, index: int) -> Fraction:
+        return self.alpha[index]
+
+
+class CatalystSpectrum(_Scaled):
+    """Canonical catalyst spectrum: n >= 1 components, sorted descending, sum 1;
+    only ``scaled`` is stored, and ``kappa`` is read from it."""
+
+    __slots__ = ()
+    _fields = ("kappa",)
+
+    def __init__(self, kappa: tuple[Fraction, ...]) -> None:
+        if len(kappa) < 1:
+            raise ValueError("catalyst needs at least one component")
+        super().__init__(_check_canonical(kappa, "catalyst"))
+
+    @property
+    def kappa(self) -> tuple[Fraction, ...]:
+        return tuple(self)
+
+
+class AugmentedSpectrum(_Scaled):
+    """Sorted products of a state and a catalyst, as ints over den_state *
+    den_catalyst; it reads, compares and hashes as its tuple of Fractions."""
+
+    __slots__ = ()
+
     def __eq__(self, other: object) -> bool:
         return tuple(self) == (tuple(other) if isinstance(other, AugmentedSpectrum) else other)
 
@@ -150,17 +192,15 @@ class AugmentedSpectrum:
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
-class EpsilonTriple:
+class EpsilonTriple(_Frozen):
     """Valid slack decomposition: eps1 >= 0, eps2 > 0, eps3 >= 0."""
 
-    eps1: Fraction
-    eps2: Fraction
-    eps3: Fraction
+    __slots__ = _fields = ("eps1", "eps2", "eps3")
 
-    def __post_init__(self) -> None:
-        if self.eps1 < 0 or self.eps2 <= 0 or self.eps3 < 0:
+    def __init__(self, eps1: Fraction, eps2: Fraction, eps3: Fraction) -> None:
+        if eps1 < 0 or eps2 <= 0 or eps3 < 0:
             raise ValueError("slack triple must satisfy eps1 >= 0, eps2 > 0, eps3 >= 0")
+        self._set(eps1=eps1, eps2=eps2, eps3=eps3)
 
 
 class StarViolation(Enum):
@@ -202,7 +242,6 @@ def two_qubit_catalyst(p: Rational) -> CatalystSpectrum:
     k, d = _two_qubit_parameter(p)
     # Canonical by construction (d <= 2k <= 2d): CatalystSpectrum's check is skipped.
     catalyst = object.__new__(CatalystSpectrum)
-    object.__setattr__(catalyst, "kappa", (Fraction(k, d), Fraction(d - k, d)))
     object.__setattr__(catalyst, "scaled", ((k, d - k), d))
     return catalyst
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import qcatalyst
 from qcatalyst import (
@@ -195,6 +195,24 @@ class TestIsValidCatalyst:
         with pytest.raises(ValueError, match="already possible"):
             is_valid_catalyst(CAT_SOURCE, CAT_SOURCE, F(3, 5))
 
+    @given(spectra(), spectra(), catalyst_params())
+    @example(
+        make_spectrum(["0.5", "0.3", "0.1", "0.1"]), make_spectrum(["0.5", "0.2", "0.2", "0.1"]),
+        F(3, 5),
+    )  # m = +infinity
+    @example(HARD_SOURCE, HARD_TARGET, F(3, 5))  # m > M: the interval is empty
+    @example(CAT_SOURCE, CAT_TARGET, F(5, 8))
+    def test_is_the_verdict_and_the_p_interval(self, source, target, p):
+        report = analyze(source, target)
+        if report.verdict is Verdict.LOCC_ALREADY_POSSIBLE:
+            with pytest.raises(ValueError, match="already possible"):
+                is_valid_catalyst(source, target, p)
+            return
+        inside = report.verdict is Verdict.CATALYZABLE and (
+            report.p_interval[0] <= p <= report.p_interval[1]
+        )
+        assert is_valid_catalyst(source, target, p) is inside
+
     @given(star_pairs())
     def test_domain_ends_match_the_oracle(self, pair):
         # p = 1/2 is ratio 1 and p = 1 is ratio 0, both outside every [m, M].
@@ -283,20 +301,24 @@ class TestReportInvariants:
 
     def test_inconsistent_report_rejected_under_optimize(self):
         # assert statements vanish under -O; the invariants must not.
-        code = (
-            "from fractions import Fraction as F\n"
-            "from qcatalyst import FeasibilityReport\n"
-            "FeasibilityReport(m=F(1, 2), M=F(2))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=child_env(),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode != 0
-        assert "ValueError: inconsistent" in result.stderr
+        for value, error in [
+            ("FeasibilityReport(m=F(1, 2), M=F(2))", "ValueError: inconsistent"),
+            ("EpsilonTriple(F(-1), F(1), F(0))", "ValueError: slack triple must satisfy"),
+        ]:
+            code = (
+                "from fractions import Fraction as F\n"
+                "from qcatalyst import EpsilonTriple, FeasibilityReport\n"
+                f"{value}\n"
+            )
+            result = subprocess.run(
+                [sys.executable, "-O", "-c", code],
+                env=child_env(),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert result.returncode != 0
+            assert error in result.stderr
 
     def test_impossible_bounds_rejected_under_optimize(self):
         code = (

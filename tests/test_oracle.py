@@ -1,6 +1,8 @@
 import cProfile
 import fractions
 import pstats
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from qcatalyst import (
     feasible_p_set,
     first_violated_index,
     is_majorized_by,
+    is_valid_catalyst,
     locc_possible,
     make_catalyst,
     make_spectrum,
@@ -28,6 +31,7 @@ from qcatalyst.oracle import AugmentedSpectrum
 from support import (
     catalyst_params,
     catalysts,
+    child_env,
     coprime_star_pairs,
     power_sums_allow_catalysis,
     reference_oracle,
@@ -124,15 +128,20 @@ catalyzable_leaning = st.one_of(star_pairs(feasible_leaning=True), constructed_p
 any_pairs = st.one_of(st.tuples(spectra(), spectra()), star_pairs(), catalyzable_leaning)
 
 
-def fractions_built(fn, *args) -> int:
-    """How many Fractions one call of fn(*args) creates, under cProfile."""
+def fraction_calls(method: str, fn, *args) -> int:
+    """How many times one call of fn(*args) runs Fraction.<method>, under cProfile."""
     profile = cProfile.Profile()
     profile.runcall(fn, *args)
     return sum(
         calls
         for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
-        if path == fractions.__file__ and name == "__new__"
+        if path == fractions.__file__ and name == method
     )
+
+
+def fractions_built(fn, *args) -> int:
+    """How many Fractions one call of fn(*args) creates, under cProfile."""
+    return fraction_calls("__new__", fn, *args)
 
 
 def violation_or_message(a, b):
@@ -149,6 +158,24 @@ class TestOnTheIntegers:
         assert fractions_built(oracle_valid_catalyst, CAT_SOURCE, CAT_TARGET, catalyst) == 0
         # The count sees Fractions where they are made: when the products are read.
         assert fractions_built(tuple, augment(CAT_SOURCE, catalyst)) == 8
+
+    def test_two_qubit_catalyst_builds_no_fraction(self):
+        p = F(3, 5)
+        assert fractions_built(two_qubit_catalyst, p) == 0
+
+    def test_cached_catalyst_check_compares_no_fraction(self):
+        # The check reads the report's bounds on the ints, not its verdict (m > M).
+        p = F(3, 5)
+        assert is_valid_catalyst(CAT_SOURCE, CAT_TARGET, p)
+        assert fraction_calls("_richcmp", is_valid_catalyst, CAT_SOURCE, CAT_TARGET, p) == 0
+
+    def test_cli_import_leaves_dataclasses_out(self):
+        code = "import sys, qcatalyst.cli; print('dataclasses' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
     def test_mismatch_messages_match_the_fraction_tuples(self):
         a = augment(CAT_SOURCE, WORKED_CATALYST)

@@ -4,7 +4,8 @@ oracle's AugmentedSpectrum keeps the same contract and, in addition, reads
 as the tuple of its Fractions.
 
 The checks go through the public constructors and attribute names only, so
-they hold for any implementation of the types, dataclass or not.
+they hold for any implementation of the types.  The reprs are pinned to the
+text the types printed as frozen dataclasses.
 """
 import copy
 import pickle
@@ -117,6 +118,60 @@ def test_two_qubit_catalyst_is_make_catalyst(p):
     built, reference = two_qubit_catalyst(p), make_catalyst([p, 1 - p])
     assert built == reference and hash(built) == hash(reference)
     assert built.scaled == reference.scaled and built.kappa == reference.kappa
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (
+            VALUES[0][0],
+            "Spectrum4(alpha=(Fraction(2, 5), Fraction(2, 5), Fraction(1, 10), Fraction(1, 10)))",
+        ),
+        (VALUES[2][0], "CatalystSpectrum(kappa=(Fraction(3, 5), Fraction(2, 5)))"),
+        (
+            VALUES[4][0],
+            "EpsilonTriple(eps1=Fraction(9, 160), eps2=Fraction(3, 80), eps3=Fraction(1, 80))",
+        ),
+        (VALUES[5][0], "FeasibilityReport(m=Fraction(3, 5), M=Fraction(2, 3), star_violation=None)"),
+        (VALUES[8][0], "FeasibilityReport(m=inf, M=Fraction(0, 1), star_violation=None)"),
+        (
+            VALUES[7][0],
+            "FeasibilityReport(m=None, M=None, "
+            "star_violation=<StarViolation.EPS1_NEGATIVE: 'eps1_negative'>)",
+        ),
+        (
+            VALUES[9][0],
+            "ConstructionResult("
+            "source=Spectrum4(alpha=(Fraction(81, 160), Fraction(9, 32), Fraction(11, 80), "
+            "Fraction(3, 40))), "
+            "target=Spectrum4(alpha=(Fraction(9, 16), Fraction(3, 16), Fraction(3, 16), "
+            "Fraction(1, 16))), "
+            "mu=Fraction(1, 10), branch=<Branch.M0_LE_1: 'm0_le_1'>)",
+        ),
+        (
+            augment(VALUES[0][0], VALUES[2][0]),
+            "(Fraction(6, 25), Fraction(6, 25), Fraction(4, 25), Fraction(4, 25), "
+            "Fraction(3, 50), Fraction(3, 50), Fraction(1, 25), Fraction(1, 25))",
+        ),
+    ],
+)
+def test_repr_is_the_dataclass_text(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize(
+    "catalyst,expected",
+    [
+        (make_catalyst(["1/6", "1/2", "1/3"]), ((1, 2), (1, 3), (1, 6))),
+        (two_qubit_catalyst(F(3, 5)), ((3, 5), (2, 5))),
+        (two_qubit_catalyst(F(1)), ((1, 1), (0, 1))),
+    ],
+)
+def test_kappa_items_are_reduced_fractions(catalyst, expected):
+    # kappa is read from the integer form, whose denominator is shared.
+    assert all(type(x) is F for x in catalyst.kappa)
+    assert [x.as_integer_ratio() for x in catalyst.kappa] == list(expected)
+    assert tuple(catalyst) == catalyst.kappa
 
 
 AUGMENTED = [
