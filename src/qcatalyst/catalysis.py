@@ -29,6 +29,7 @@ from .spectra import (
     Spectrum4,
     StarViolation,
     _Frozen,
+    _require_fractions,
     _two_qubit_parameter,
     epsilon_decompose,
     two_qubit_catalyst,
@@ -63,7 +64,10 @@ class FeasibilityReport(_Frozen):
     def __init__(self, m: Optional[ExtendedRational] = None, M: Optional[Fraction] = None,
                  star_violation: Optional[StarViolation] = None) -> None:
         # Real exceptions, not asserts: the invariants must hold under -O.  Any
-        # valid slack triple gives m > 0 (or +infinity) and 0 <= M < 1.
+        # valid slack triple gives m > 0 (or +infinity) and 0 <= M < 1.  An
+        # unpickled +infinity is an equal float, not INFINITY itself.
+        bounds = [M] if isinstance(m, float) and m == INFINITY else [m, M]
+        _require_fractions([b for b in bounds if b is not None], "report bounds m and M")
         if m is None or M is None:
             valid = m is None and M is None
         else:
@@ -111,12 +115,13 @@ def compute_m(alpha: Spectrum4, eps: EpsilonTriple) -> ExtendedRational:
     """
     if eps.eps1 == 0:
         return INFINITY
+    a1, a2, a3, a4 = alpha
     candidates = [
-        (alpha[1] - eps.eps1) / (alpha[0] + eps.eps1),
+        (a2 - eps.eps1) / (a1 + eps.eps1),
         eps.eps2 / eps.eps1,
     ]
-    if alpha[2] + eps.eps3 != 0:
-        candidates.append((alpha[3] - eps.eps3) / (alpha[2] + eps.eps3))
+    if a3 + eps.eps3 != 0:
+        candidates.append((a4 - eps.eps3) / (a3 + eps.eps3))
     return max(candidates)
 
 
@@ -126,12 +131,13 @@ def compute_M(alpha: Spectrum4, eps: EpsilonTriple) -> Fraction:
     Equals 0 when eps3 = 0.  Raises DegenerateSpectrumError when
     alpha2 - eps1 <= 0, which no valid slack triple can produce.
     """
-    if alpha[1] - eps.eps1 <= 0:
+    _, a2, a3, _ = alpha
+    if a2 - eps.eps1 <= 0:
         raise DegenerateSpectrumError(
             "alpha2 - eps1 <= 0: implied target has a vanishing second coefficient"
         )
     return min(
-        (alpha[2] + eps.eps3) / (alpha[1] - eps.eps1),
+        (a3 + eps.eps3) / (a2 - eps.eps1),
         eps.eps3 / eps.eps2,
     )
 
@@ -190,10 +196,11 @@ def closed_form_lambda_prime(
     [m, M].
     """
     p, q = two_qubit_catalyst(p)
-    a1 = target[0] - eps.eps1
-    a2 = target[1] + eps.eps1 + eps.eps2
-    a3 = target[2] - eps.eps2 - eps.eps3
-    a4 = target[3] + eps.eps3
+    t1, t2, t3, t4 = target
+    a1 = t1 - eps.eps1
+    a2 = t2 + eps.eps1 + eps.eps2
+    a3 = t3 - eps.eps2 - eps.eps3
+    a4 = t4 + eps.eps3
     source = Spectrum4((a1, a2, a3, a4))
     m = compute_m(source, eps)
     M = compute_M(source, eps)

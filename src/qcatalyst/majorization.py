@@ -14,7 +14,7 @@ from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .rationals import value_text
-from .spectra import AugmentedSpectrum, CatalystSpectrum, Spectrum4, _as_fraction, _integer_form
+from .spectra import Spectrum4, _Scaled, _as_fraction, _integer_form
 
 PartialSums = tuple[Fraction, ...]
 
@@ -22,7 +22,7 @@ PartialSums = tuple[Fraction, ...]
 def _scaled(values: Iterable) -> tuple[Sequence[int], int]:
     """``values`` as integer numerators over a common denominator, sorted
     descending; raises on a negative component."""
-    if isinstance(values, (Spectrum4, CatalystSpectrum, AugmentedSpectrum)):
+    if isinstance(values, _Scaled):
         return values.scaled
     nums, den = _integer_form([_as_fraction(v) for v in values])
     nums.sort(reverse=True)

@@ -25,7 +25,13 @@ from typing import Iterable, Optional, Sequence
 
 from .majorization import is_majorized_by
 from .rationals import HALF, value_text
-from .spectra import AugmentedSpectrum, CatalystSpectrum, Spectrum4, _two_qubit_parameter
+from .spectra import (
+    AugmentedSpectrum,
+    CatalystSpectrum,
+    Spectrum4,
+    _as_fraction,
+    _two_qubit_parameter,
+)
 
 # Sorted disjoint closed intervals (lo, hi) of p; lo == hi for a lone point.
 PSet = tuple[tuple[Fraction, Fraction], ...]
@@ -167,7 +173,7 @@ def grid_points(
         )
     extra = {HALF}
     if p_interval is not None:
-        for endpoint in p_interval:
+        for endpoint in map(_as_fraction, p_interval):
             if not HALF <= endpoint <= 1:
                 raise ValueError(f"interval endpoint {value_text(endpoint)} outside [1/2, 1]")
             extra.add(endpoint)

@@ -51,11 +51,16 @@ def _integer_form(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
+def _require_fractions(values: Iterable, what: str) -> None:
+    """Raise TypeError unless every one of ``values`` is a Fraction."""
+    if not all([isinstance(v, Fraction) for v in values]):
+        raise TypeError(f"{what} must be Fractions")
+
+
 def _check_canonical(values: tuple[Fraction, ...], what: str) -> tuple[tuple[int, ...], int]:
     """Raise unless ``values`` are nonnegative Fractions, sorted descending,
     summing to 1; return their integer form."""
-    if not all([isinstance(v, Fraction) for v in values]):
-        raise TypeError(f"{what} components must be Fractions")
+    _require_fractions(values, f"{what} components")
     nums, den = _integer_form(values)
     if min(nums) < 0:
         raise ValueError(f"{what} components must be nonnegative")
@@ -142,21 +147,18 @@ class _Scaled(_Frozen):
 
 class Spectrum4(_Scaled):
     """Canonical four-component Schmidt spectrum (sorted descending, sum 1);
-    ``alpha`` is kept beside ``scaled``, so reading a component builds no Fraction."""
+    only ``scaled`` is stored, and ``alpha`` is read from it.  Each read of
+    ``alpha`` or of a component builds the four Fractions again."""
 
-    __slots__ = ("alpha",)
+    __slots__ = ()
     _fields = ("alpha",)
 
     def __init__(self, alpha: tuple[Fraction, Fraction, Fraction, Fraction]) -> None:
         if len(alpha) != 4:
             raise ValueError(f"spectrum needs exactly 4 components, got {len(alpha)}")
-        self._set(alpha=alpha, scaled=_check_canonical(alpha, "spectrum"))
+        super().__init__(_check_canonical(alpha, "spectrum"))
 
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.alpha)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.alpha[index]
+    alpha = property(tuple, doc="The components, as reduced Fractions.")
 
 
 class CatalystSpectrum(_Scaled):
@@ -171,9 +173,7 @@ class CatalystSpectrum(_Scaled):
             raise ValueError("catalyst needs at least one component")
         super().__init__(_check_canonical(kappa, "catalyst"))
 
-    @property
-    def kappa(self) -> tuple[Fraction, ...]:
-        return tuple(self)
+    kappa = property(tuple, doc="The components, as reduced Fractions.")
 
 
 class AugmentedSpectrum(_Scaled):
@@ -198,6 +198,7 @@ class EpsilonTriple(_Frozen):
     __slots__ = _fields = ("eps1", "eps2", "eps3")
 
     def __init__(self, eps1: Fraction, eps2: Fraction, eps3: Fraction) -> None:
+        _require_fractions((eps1, eps2, eps3), "slack triple components")
         if eps1 < 0 or eps2 <= 0 or eps3 < 0:
             raise ValueError("slack triple must satisfy eps1 >= 0, eps2 > 0, eps3 >= 0")
         self._set(eps1=eps1, eps2=eps2, eps3=eps3)
@@ -253,15 +254,18 @@ def epsilon_decompose(
 
     On success the third target line holds automatically by normalization:
     target3 = source3 + eps2 + eps3.  Multiple violations report the first
-    in (eps1, eps2, eps3) order.
+    in (eps1, eps2, eps3) order.  The slacks are computed on the integer
+    forms, as numerators over den_s * den_t; a Fraction is built only for
+    each slack of a returned triple.
     """
-    eps1 = target[0] - source[0]
-    eps2 = (source[0] + source[1]) - (target[0] + target[1])
-    eps3 = source[3] - target[3]
+    (s, den_s), (t, den_t) = source.scaled, target.scaled
+    eps1 = t[0] * den_s - s[0] * den_t
+    eps2 = (s[0] + s[1]) * den_t - (t[0] + t[1]) * den_s
+    eps3 = s[3] * den_t - t[3] * den_s
     if eps1 < 0:
         return StarViolation.EPS1_NEGATIVE
     if eps2 <= 0:
         return StarViolation.EPS2_NOT_POSITIVE
     if eps3 < 0:
         return StarViolation.EPS3_NEGATIVE
-    return EpsilonTriple(eps1, eps2, eps3)
+    return EpsilonTriple(*[Fraction(eps, den_s * den_t) for eps in (eps1, eps2, eps3)])

@@ -163,6 +163,29 @@ class TestAnalyze:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 
+    def test_package_has_no_float(self):
+        # No value may pass through a binary float: no float literal, no
+        # float(...) call, and math.inf only where rationals.INFINITY is defined.
+        def is_float(node) -> bool:
+            if isinstance(node, ast.Constant):
+                return isinstance(node.value, float)
+            if isinstance(node, ast.Call):
+                return isinstance(node.func, ast.Name) and node.func.id == "float"
+            if isinstance(node, ast.ImportFrom):
+                return "inf" in [alias.name for alias in node.names]
+            return isinstance(node, ast.Attribute) and node.attr == "inf"
+
+        package = Path(qcatalyst.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if is_float(node)
+        ]
+        lines = (package / "rationals.py").read_text().splitlines()
+        definition = next(n for n, line in enumerate(lines, 1) if line.startswith("INFINITY"))
+        assert found == [f"rationals.py:{definition}"]
+
 
 class TestIsValidCatalyst:
     def test_worked_catalyst(self):
@@ -299,11 +322,29 @@ class TestReportInvariants:
         with pytest.raises(ValueError, match="inconsistent"):
             FeasibilityReport(**fields)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FeasibilityReport(m=0.5, M=F(3, 4)),
+            lambda: FeasibilityReport(m=True, M=F(1, 2)),
+            lambda: FeasibilityReport(m=F(1, 2), M=0.75),
+            lambda: FeasibilityReport(m=F(1, 2), M=INFINITY),
+            lambda: EpsilonTriple(0.1, 0.2, 0.0),
+            lambda: EpsilonTriple(F(1, 10), F(1, 5), 0),
+        ],
+        ids=["float_m", "bool_m", "float_M", "infinite_M", "float_triple", "int_eps3"],
+    )
+    def test_non_fraction_fields_rejected(self, build):
+        # m may be +infinity; every other field that is set is a Fraction.
+        with pytest.raises(TypeError, match="must be Fractions"):
+            build()
+
     def test_inconsistent_report_rejected_under_optimize(self):
         # assert statements vanish under -O; the invariants must not.
         for value, error in [
             ("FeasibilityReport(m=F(1, 2), M=F(2))", "ValueError: inconsistent"),
             ("EpsilonTriple(F(-1), F(1), F(0))", "ValueError: slack triple must satisfy"),
+            ("FeasibilityReport(m=0.5, M=F(3, 4))", "TypeError"),
         ]:
             code = (
                 "from fractions import Fraction as F\n"

@@ -222,6 +222,16 @@ def vector_pairs(draw):
     return a, draw(st.permutations(b))
 
 
+def test_integer_forms_are_read_through_one_base():
+    # _scaled takes the stored integer form of any _Scaled value, naming no
+    # spectrum type of its own.
+    import qcatalyst.majorization as majorization
+    from qcatalyst.spectra import _Scaled
+
+    assert majorization._Scaled is _Scaled
+    assert {"AugmentedSpectrum", "CatalystSpectrum"}.isdisjoint(vars(majorization))
+
+
 class TestAgainstFractionReference:
     @given(st.lists(_COMPONENT, max_size=8))
     @settings(max_examples=300)

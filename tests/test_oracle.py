@@ -14,6 +14,7 @@ from qcatalyst import (
     analyze,
     augment,
     construct_states,
+    epsilon_decompose,
     feasible_p_set,
     first_violated_index,
     is_majorized_by,
@@ -158,6 +159,11 @@ class TestOnTheIntegers:
         assert fractions_built(oracle_valid_catalyst, CAT_SOURCE, CAT_TARGET, catalyst) == 0
         # The count sees Fractions where they are made: when the products are read.
         assert fractions_built(tuple, augment(CAT_SOURCE, catalyst)) == 8
+
+    def test_slack_decomposition_builds_a_fraction_per_slack(self):
+        # One reduced Fraction per slack of a returned triple, none on a violation.
+        assert fractions_built(epsilon_decompose, CAT_SOURCE, CAT_TARGET) == 3
+        assert fractions_built(epsilon_decompose, CAT_TARGET, CAT_SOURCE) == 0
 
     def test_two_qubit_catalyst_builds_no_fraction(self):
         p = F(3, 5)
@@ -408,3 +414,16 @@ class TestSweepGrid:
             sweep_grid(10, (F(1, 4), F(3, 5)))
         with pytest.raises(ValueError, match="outside"):
             sweep_grid(10, (F(1, 10**5000), F(3, 5)))
+
+    @pytest.mark.parametrize(
+        "interval,message",
+        [
+            ((0.6, 0.7), "not exact"),
+            ((F(3, 5), 0.7), "not exact"),
+            ((True, F(3, 5)), "not rationals"),
+        ],
+    )
+    def test_endpoints_must_be_rationals(self, interval, message):
+        # A binary float endpoint would put its binary value in the grid.
+        with pytest.raises(TypeError, match=message):
+            sweep_grid(5, interval)

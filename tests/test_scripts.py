@@ -38,3 +38,35 @@ def test_cli_fingerprint():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["calls: 64", f"sha256: {FINGERPRINT_64}"]
+
+
+def test_source_size_counts_one_module(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "# A comment.\n"
+        "import os\n"
+        "\n"
+        "\n"
+        "class Thing:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def method(self):\n"
+        '        """Function docstring."""\n'
+        "        text = '''not a docstring'''  # trailing comment\n"
+        "        return text\n"
+    )
+    result = run_script("source_size.py", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[1:]]
+    assert rows == [["14", "5", "mod.py"], ["14", "5", "total"]]
+
+
+def test_source_size_total_is_the_sum_of_the_files():
+    result = run_script("source_size.py")
+    assert result.returncode == 0, result.stderr
+    *files, total = [line.split() for line in result.stdout.splitlines()[1:]]
+    assert len(files) >= 8 and total[2] == "total"
+    assert int(total[0]) == sum(int(row[0]) for row in files)
+    assert int(total[1]) == sum(int(row[1]) for row in files)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from qcatalyst import (
     CatalystSpectrum,
@@ -132,6 +133,42 @@ class TestEpsilonDecompose:
     def test_violation_names_inequality(self):
         assert "source1" in StarViolation.EPS1_NEGATIVE.inequality
         assert ">" in StarViolation.EPS2_NOT_POSITIVE.inequality
+
+
+def reference_decompose(source, target):
+    """The module docstring's formulas on the Fraction components, with the
+    first violation in (eps1, eps2, eps3) order."""
+    eps1 = target[0] - source[0]
+    eps2 = (source[0] + source[1]) - (target[0] + target[1])
+    eps3 = source[3] - target[3]
+    for violated, condition in [
+        (eps1 < 0, StarViolation.EPS1_NEGATIVE),
+        (eps2 <= 0, StarViolation.EPS2_NOT_POSITIVE),
+        (eps3 < 0, StarViolation.EPS3_NEGATIVE),
+    ]:
+        if violated:
+            return condition
+    return EpsilonTriple(eps1, eps2, eps3)
+
+
+class TestOneStoredForm:
+    def test_spectra_store_only_the_integer_form(self):
+        slots = {
+            name
+            for cls in (Spectrum4, CatalystSpectrum)
+            for klass in cls.__mro__
+            for name in vars(klass).get("__slots__", ())
+        }
+        assert slots == {"scaled"}
+
+    @given(st.one_of(st.tuples(spectra(), spectra()), star_pairs()))
+    def test_decomposition_matches_the_fraction_formulas(self, pair):
+        source, target = pair
+        decomposed = epsilon_decompose(source, target)
+        assert decomposed == reference_decompose(source, target)
+        if isinstance(decomposed, EpsilonTriple):
+            slacks = (decomposed.eps1, decomposed.eps2, decomposed.eps3)
+            assert all(type(eps) is Fraction for eps in slacks)
 
 
 class TestSatisfiesStar:
