@@ -28,7 +28,6 @@ from .oracle import augment, feasible_p_set, oracle_valid_catalyst, sweep, sweep
 from .rationals import (
     INFINITY,
     ExtendedRational,
-    Rational,
     parse_rational,
     render_decimal,
     render_rational,
@@ -43,42 +42,3 @@ from .spectra import (
     make_spectrum,
     two_qubit_catalyst,
 )
-
-__all__ = [
-    "Branch",
-    "CatalystSpectrum",
-    "ConstructionResult",
-    "DegenerateSpectrumError",
-    "EpsilonTriple",
-    "ExtendedRational",
-    "FeasibilityReport",
-    "INFINITY",
-    "Rational",
-    "Spectrum4",
-    "StarViolation",
-    "Verdict",
-    "analyze",
-    "augment",
-    "closed_form_lambda_prime",
-    "compute_M",
-    "compute_m",
-    "construct_states",
-    "epsilon_decompose",
-    "feasible_p_set",
-    "first_violated_index",
-    "is_majorized_by",
-    "is_valid_catalyst",
-    "locc_possible",
-    "lorenz_points",
-    "make_catalyst",
-    "make_spectrum",
-    "mu_admissible_bound",
-    "oracle_valid_catalyst",
-    "parse_rational",
-    "partial_sums",
-    "render_decimal",
-    "render_rational",
-    "sweep",
-    "sweep_grid",
-    "two_qubit_catalyst",
-]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .rationals import INFINITY, ExtendedRational, value_text
 from .spectra import (
@@ -61,8 +60,8 @@ class FeasibilityReport(_Frozen):
 
     __slots__ = _fields = ("m", "M", "star_violation")
 
-    def __init__(self, m: Optional[ExtendedRational] = None, M: Optional[Fraction] = None,
-                 star_violation: Optional[StarViolation] = None) -> None:
+    def __init__(self, m: ExtendedRational | None = None, M: Fraction | None = None,
+                 star_violation: StarViolation | None = None) -> None:
         # Real exceptions, not asserts: the invariants must hold under -O.  Any
         # valid slack triple gives m > 0 (or +infinity) and 0 <= M < 1.  An
         # unpickled +infinity is an equal float, not INFINITY itself.
@@ -84,22 +83,22 @@ class FeasibilityReport(_Frozen):
         return Verdict.LOCC_ALREADY_POSSIBLE if self.m is None else Verdict.CATALYZABLE
 
     @property
-    def r_interval(self) -> Optional[tuple[Fraction, Fraction]]:
+    def r_interval(self) -> tuple[Fraction, Fraction] | None:
         """The feasible ratio interval [m, M], when catalyzable."""
         if self.verdict is not Verdict.CATALYZABLE:
             return None
         return (self.m, self.M)
 
     @property
-    def p_interval(self) -> Optional[tuple[Fraction, Fraction]]:
+    def p_interval(self) -> tuple[Fraction, Fraction] | None:
         """The feasible p-interval [1/(1+M), 1/(1+m)], within [1/2, 1).
 
         r = (1-p)/p decreases in p, so the ends swap; kept here in one place
         because that inversion is a perennial hazard.
         """
-        if self.verdict is not Verdict.CATALYZABLE:
+        if (r := self.r_interval) is None:
             return None
-        return (1 / (1 + self.M), 1 / (1 + self.m))
+        return (1 / (1 + r[1]), 1 / (1 + r[0]))
 
 
 def compute_m(alpha: Spectrum4, eps: EpsilonTriple) -> ExtendedRational:

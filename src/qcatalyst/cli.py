@@ -21,8 +21,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .catalysis import FeasibilityReport, Verdict, analyze, compute_M, compute_m, is_valid_catalyst
 from .constructor import construct_states
@@ -163,12 +163,12 @@ def _cmd_check_locc(request: dict) -> dict:
 
 
 def _report_json(report: FeasibilityReport) -> dict:
-    def interval(pair) -> Optional[list]:
+    def interval(pair) -> list | None:
         if pair is None:
             return None
         return [_rational_field(pair[0]), _rational_field(pair[1])]
 
-    reason = None
+    verdict, reason = report.verdict, None
     violation = report.star_violation
     if violation is not None:
         reason = {
@@ -176,10 +176,10 @@ def _report_json(report: FeasibilityReport) -> dict:
             "condition": violation.value,
             "violated_inequality": violation.inequality,
         }
-    elif report.verdict is Verdict.INFEASIBLE:
+    elif verdict is Verdict.INFEASIBLE:
         reason = {"kind": "empty_interval"}
     return {
-        "verdict": report.verdict.value,
+        "verdict": verdict.value,
         "m": None if report.m is None else _rational_field(report.m),
         "M": None if report.M is None else _rational_field(report.M),
         "r_interval": interval(report.r_interval),
@@ -207,7 +207,7 @@ def _cmd_validate(request: dict) -> dict:
     report = analyze(source, target)
     already_possible = report.verdict is Verdict.LOCC_ALREADY_POSSIBLE
     oracle_verdict = oracle_valid_catalyst(source, target, catalyst)
-    theorem_verdict: Optional[bool] = None
+    theorem_verdict: bool | None = None
     if len(catalyst) == 2:
         if already_possible:
             # Majorization survives pairing with any shared catalyst, so the
@@ -329,7 +329,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

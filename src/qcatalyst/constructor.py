@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .catalysis import compute_M, compute_m
-from .rationals import HALF, Rational, value_text
+from .rationals import HALF, value_text
 from .spectra import EpsilonTriple, Spectrum4, _as_fraction, _Frozen, epsilon_decompose
 
 
@@ -59,7 +58,7 @@ def _validate_targets(m0: Fraction, M0: Fraction) -> None:
         raise ValueError(f"M0 must lie strictly between 0 and 1, got {value_text(M0)}")
 
 
-def mu_admissible_bound(m0: Rational, M0: Rational) -> Fraction:
+def mu_admissible_bound(m0: Fraction, M0: Fraction) -> Fraction:
     """The base of the closed-form mu: min((1-M0)/(1+M0), (1-h)/(2 M0+1)) / 2
     with h = min(m0, 1)/2.  The default mu is bound / 2**(j+1), the first of
     bound/2, bound/4, ... within the five limits of the module docstring.
@@ -96,7 +95,7 @@ def _first_admissible_mu(m0: Fraction, M0: Fraction, h: Fraction, q: Fraction) -
 
 
 def construct_states(
-    m0: Rational, M0: Rational, mu: Optional[Rational] = None
+    m0: Fraction, M0: Fraction, mu: Fraction | None = None
 ) -> ConstructionResult:
     """Build a state pair with ratio bounds exactly (m0, M0).
 

@@ -9,14 +9,12 @@ the target spectrum.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
 
 from .rationals import value_text
 from .spectra import Spectrum4, _Scaled, _as_fraction, _integer_form
-
-PartialSums = tuple[Fraction, ...]
 
 
 def _scaled(values: Iterable) -> tuple[Sequence[int], int]:
@@ -32,7 +30,7 @@ def _scaled(values: Iterable) -> tuple[Sequence[int], int]:
     return nums, den
 
 
-def partial_sums(values: Iterable) -> PartialSums:
+def partial_sums(values: Iterable) -> tuple[Fraction, ...]:
     """Cumulative sums of the descending rearrangement of ``values``.
 
     Raises ValueError on a negative component.
@@ -51,7 +49,7 @@ def is_majorized_by(a: Sequence, b: Sequence) -> bool:
     return first_violated_index(a, b) is None
 
 
-def first_violated_index(a: Sequence, b: Sequence) -> Optional[int]:
+def first_violated_index(a: Sequence, b: Sequence) -> int | None:
     """Smallest k (1-based) whose partial sum of a exceeds that of b, else
     None, in which case a is majorized by b.
 

@@ -18,10 +18,10 @@ cell gives the feasible set without trusting any formula for m or M.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from typing import Iterable, Optional, Sequence
 
 from .majorization import is_majorized_by
 from .rationals import HALF, value_text
@@ -83,7 +83,7 @@ def _sum_gaps(source: Spectrum4, target: Spectrum4, p: Fraction) -> list[int]:
 
 def _cell_part(
     a: Fraction, b: Fraction, gaps_a: list[int], gaps_b: list[int]
-) -> Optional[tuple[Fraction, Fraction]]:
+) -> tuple[Fraction, Fraction] | None:
     """The closed part of the cell [a, b] where every gap, linear on it and
     valued gaps_a at a and gaps_b at b (_sum_gaps numerators), is
     nonnegative; None if empty."""
@@ -159,7 +159,7 @@ def sweep(
 
 def grid_points(
     denominator: int = 1000,
-    p_interval: Optional[tuple[Fraction, Fraction]] = None,
+    p_interval: tuple[Fraction, Fraction] | None = None,
 ) -> list[tuple[int, int]]:
     """sweep_grid's points as (numerator, denominator) ints in lowest terms,
     ascending; the same checks and messages, and no Fraction per point."""
@@ -196,7 +196,7 @@ def grid_points(
 
 def sweep_grid(
     denominator: int = 1000,
-    p_interval: Optional[tuple[Fraction, Fraction]] = None,
+    p_interval: tuple[Fraction, Fraction] | None = None,
 ) -> list[Fraction]:
     """Default sweep grid: the lattice k/denominator within [1/2, 1], plus
     the domain boundary 1/2 itself (1 = denominator/denominator is on it).

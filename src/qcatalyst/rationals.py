@@ -12,16 +12,13 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
-
-Rational = Fraction
 
 # Upper bound of the catalyst-ratio interval can be unbounded; comparisons
 # between Fraction and math.inf are exact (CPython special-cases infinities),
 # and INFINITY is only ever compared, never added or multiplied.
 INFINITY: float = math.inf
 
-ExtendedRational = Union[Fraction, float]
+ExtendedRational = Fraction | float
 
 # Lower end of the two-qubit catalyst parameter range [1/2, 1].
 HALF = Fraction(1, 2)
@@ -83,7 +80,7 @@ def ratio_text(num: int, den: int) -> str:
         return f"{_int_text(num)}/{_int_text(den)}"
 
 
-def value_text(value: Union[ExtendedRational, int]) -> str:
+def value_text(value: ExtendedRational | int) -> str:
     """str(value) of an int, a Fraction or INFINITY, at any size; error
     messages quote values through it."""
     try:

@@ -21,15 +21,15 @@ coefficient may only shrink.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Union
 
-from .rationals import Rational, parse_rational, value_text
+from .rationals import parse_rational, value_text
 
 
-def _as_fraction(value: Rational | int | str) -> Fraction:
+def _as_fraction(value: Fraction | int | str) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
@@ -72,7 +72,7 @@ def _check_canonical(values: tuple[Fraction, ...], what: str) -> tuple[tuple[int
     return tuple(nums), den
 
 
-def _two_qubit_parameter(p: Rational) -> tuple[int, int]:
+def _two_qubit_parameter(p: Fraction) -> tuple[int, int]:
     """(k, d) with p = k/d in lowest terms; raises unless 1/2 <= p <= 1."""
     k, d = _as_fraction(p).as_integer_ratio()
     if not d <= 2 * k <= 2 * d:
@@ -221,7 +221,7 @@ class StarViolation(Enum):
         }[self]
 
 
-def make_spectrum(values: Iterable[Rational | int | str]) -> Spectrum4:
+def make_spectrum(values: Iterable[Fraction | int | str]) -> Spectrum4:
     """Build a canonical spectrum from four probabilities in any order.
 
     Raises ValueError on a malformed rational, a count other than 4, a
@@ -230,12 +230,12 @@ def make_spectrum(values: Iterable[Rational | int | str]) -> Spectrum4:
     return Spectrum4(tuple(sorted((_as_fraction(v) for v in values), reverse=True)))
 
 
-def make_catalyst(values: Iterable[Rational | int | str]) -> CatalystSpectrum:
+def make_catalyst(values: Iterable[Fraction | int | str]) -> CatalystSpectrum:
     """Build a canonical catalyst spectrum from components in any order."""
     return CatalystSpectrum(tuple(sorted((_as_fraction(v) for v in values), reverse=True)))
 
 
-def two_qubit_catalyst(p: Rational) -> CatalystSpectrum:
+def two_qubit_catalyst(p: Fraction) -> CatalystSpectrum:
     """The catalyst (p, 1-p) with 1/2 <= p <= 1.
 
     Raises ValueError when p is outside [1/2, 1].
@@ -249,7 +249,7 @@ def two_qubit_catalyst(p: Rational) -> CatalystSpectrum:
 
 def epsilon_decompose(
     source: Spectrum4, target: Spectrum4
-) -> Union[EpsilonTriple, StarViolation]:
+) -> EpsilonTriple | StarViolation:
     """Slack decomposition of source -> target, or the violated sign condition.
 
     On success the third target line holds automatically by normalization:

@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -185,6 +186,48 @@ class TestAnalyze:
         lines = (package / "rationals.py").read_text().splitlines()
         definition = next(n for n, line in enumerate(lines, 1) if line.startswith("INFINITY"))
         assert found == [f"rationals.py:{definition}"]
+
+    def test_package_does_not_import_typing(self):
+        # Annotations are never evaluated (from __future__ import annotations),
+        # and collections.abc holds the abstract types they name.
+        def imports_typing(node) -> bool:
+            if isinstance(node, ast.Import):
+                return any(alias.name.split(".")[0] == "typing" for alias in node.names)
+            return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "typing"
+
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(qcatalyst.__file__).parent.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if imports_typing(node)
+        ]
+        assert found == []
+
+    def test_public_names_are_the_init_imports(self):
+        # There is no __all__: the public names are exactly what __init__
+        # imports, so `from qcatalyst import *` also binds the submodules.
+        # Modules are left out because qcatalyst.cli is bound on the package
+        # once anything has imported it.
+        public = {
+            name
+            for name, value in vars(qcatalyst).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert public == {
+            "Branch", "CatalystSpectrum", "ConstructionResult", "DegenerateSpectrumError",
+            "EpsilonTriple", "ExtendedRational", "FeasibilityReport", "INFINITY",
+            "Spectrum4", "StarViolation", "Verdict", "analyze", "augment",
+            "closed_form_lambda_prime", "compute_M", "compute_m", "construct_states",
+            "epsilon_decompose", "feasible_p_set", "first_violated_index",
+            "is_majorized_by", "is_valid_catalyst", "locc_possible", "lorenz_points",
+            "make_catalyst", "make_spectrum", "mu_admissible_bound",
+            "oracle_valid_catalyst", "parse_rational", "partial_sums", "render_decimal",
+            "render_rational", "sweep", "sweep_grid", "two_qubit_catalyst",
+        }
+        assert "__all__" not in vars(qcatalyst)
+        # ExtendedRational is a Fraction or the +inf sentinel.
+        assert isinstance(F(1, 2), qcatalyst.ExtendedRational)
+        assert isinstance(INFINITY, qcatalyst.ExtendedRational)
 
 
 class TestIsValidCatalyst:
