@@ -18,19 +18,22 @@ interval, as an independent cross-check surface.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .rationals import INFINITY, ExtendedRational, value_text
+from .rationals import INFINITY, ExtendedRational, ratio_key, value_text
 from .spectra import (
     EpsilonTriple,
     Spectrum4,
     StarViolation,
     _Frozen,
+    _integer_form,
     _require_fractions,
+    _slacks,
+    _star_violation,
     _two_qubit_parameter,
-    epsilon_decompose,
     two_qubit_catalyst,
 )
 
@@ -101,6 +104,42 @@ class FeasibilityReport(_Frozen):
         return (1 / (1 + r[1]), 1 / (1 + r[0]))
 
 
+def _lower_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int] | None:
+    """m as (numerator, denominator > 0), None for +infinity, from the
+    source and the slacks as ints over one denominator, which cancels.
+
+    Every denominator below is positive for a canonical source and slacks
+    of valid signs, so ratio_key orders the terms.
+    """
+    a1, a2, a3, a4 = alpha
+    e1, e2, e3 = eps
+    if e1 == 0:
+        return None
+    terms = [(a2 - e1, a1 + e1), (e2, e1)]
+    if a3 + e3:
+        terms.append((a4 - e3, a3 + e3))
+    return max(terms, key=ratio_key)
+
+
+def _upper_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int]:
+    """M as (numerator, denominator > 0), on the ints as _lower_bound."""
+    _, a2, a3, _ = alpha
+    e1, e2, e3 = eps
+    if a2 - e1 <= 0:
+        raise DegenerateSpectrumError(
+            "alpha2 - eps1 <= 0: implied target has a vanishing second coefficient"
+        )
+    return min([(a3 + e3, a2 - e1), (e3, e2)], key=ratio_key)
+
+
+def _bounds_form(alpha: Spectrum4, eps: EpsilonTriple) -> tuple[list[int], list[int]]:
+    """The source's components and the slacks as ints over one denominator."""
+    nums, den = alpha.scaled
+    slacks = [e.as_integer_ratio() for e in (eps.eps1, eps.eps2, eps.eps3)]
+    ints = _integer_form([(n, den) for n in nums] + slacks)[0]
+    return ints[:4], ints[4:]
+
+
 def compute_m(alpha: Spectrum4, eps: EpsilonTriple) -> ExtendedRational:
     """Lower bound m of the feasible catalyst-ratio interval.
 
@@ -111,51 +150,44 @@ def compute_m(alpha: Spectrum4, eps: EpsilonTriple) -> ExtendedRational:
     constraint it encodes is vacuous there and the term is omitted from the
     max.  Such pairs are still reachable valid decompositions, but eps3 = 0
     forces the upper bound to 0, so they are never catalyzable either way.
+    Computed on the ints (_lower_bound), with one Fraction for the result.
     """
-    if eps.eps1 == 0:
-        return INFINITY
-    a1, a2, a3, a4 = alpha
-    candidates = [
-        (a2 - eps.eps1) / (a1 + eps.eps1),
-        eps.eps2 / eps.eps1,
-    ]
-    if a3 + eps.eps3 != 0:
-        candidates.append((a4 - eps.eps3) / (a3 + eps.eps3))
-    return max(candidates)
+    m = _lower_bound(*_bounds_form(alpha, eps))
+    return INFINITY if m is None else Fraction(*m)
 
 
 def compute_M(alpha: Spectrum4, eps: EpsilonTriple) -> Fraction:
     """Upper bound M of the feasible catalyst-ratio interval.
 
     Equals 0 when eps3 = 0.  Raises DegenerateSpectrumError when
-    alpha2 - eps1 <= 0, which no valid slack triple can produce.
+    alpha2 - eps1 <= 0, which no valid slack triple can produce.  Computed
+    on the ints (_upper_bound), with one Fraction for the result.
     """
-    _, a2, a3, _ = alpha
-    if a2 - eps.eps1 <= 0:
-        raise DegenerateSpectrumError(
-            "alpha2 - eps1 <= 0: implied target has a vanishing second coefficient"
-        )
-    return min(
-        (a3 + eps.eps3) / (a2 - eps.eps1),
-        eps.eps3 / eps.eps2,
-    )
+    return Fraction(*_upper_bound(*_bounds_form(alpha, eps)))
 
 
 @lru_cache(maxsize=256)
 def analyze(source: Spectrum4, target: Spectrum4) -> FeasibilityReport:
     """Full decision: LOCC-possible, catalyzable with interval, or infeasible.
 
-    Read off one slack decomposition: Nielsen's partial-sum conditions are
-    eps1 >= 0, eps2 <= 0 and eps3 >= 0, and epsilon_decompose reports the
+    Read off the integer slacks: Nielsen's partial-sum conditions are
+    eps1 >= 0, eps2 <= 0 and eps3 >= 0, and _star_violation reports the
     first violation in (eps1, eps2, eps3) order, so LOCC already works
-    exactly when it reports EPS2_NOT_POSITIVE and source4 >= target4.
+    exactly when it reports EPS2_NOT_POSITIVE and eps3 >= 0.  The bounds
+    come from the same ints; the only Fractions built are m and M.
     """
-    eps = epsilon_decompose(source, target)
-    if eps is StarViolation.EPS2_NOT_POSITIVE and source[3] >= target[3]:
+    slacks = _slacks(source, target)
+    violation = _star_violation(*slacks)
+    if violation is StarViolation.EPS2_NOT_POSITIVE and slacks[2] >= 0:
         return FeasibilityReport()
-    if isinstance(eps, StarViolation):
-        return FeasibilityReport(star_violation=eps)
-    return FeasibilityReport(m=compute_m(source, eps), M=compute_M(source, eps))
+    if violation is not None:
+        return FeasibilityReport(star_violation=violation)
+    # Over den_s * den_t, the slacks' denominator.
+    alpha = [a * target.scaled[1] for a in source.scaled[0]]
+    m = _lower_bound(alpha, slacks)
+    return FeasibilityReport(
+        m=INFINITY if m is None else Fraction(*m), M=Fraction(*_upper_bound(alpha, slacks))
+    )
 
 
 def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:

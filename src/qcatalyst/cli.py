@@ -23,10 +23,20 @@ import os
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
-from .catalysis import FeasibilityReport, Verdict, analyze, compute_M, compute_m, is_valid_catalyst
+from .catalysis import (
+    FeasibilityReport,
+    Verdict,
+    _lower_bound,
+    _upper_bound,
+    analyze,
+    is_valid_catalyst,
+)
 from .constructor import construct_states
-from .majorization import first_violated_index, lorenz_points, partial_sums
+from .majorization import first_violated_index, lorenz_points
 from .oracle import feasible_p_set, grid_points, oracle_valid_catalyst, p_set_verdicts
 from .rationals import (
     ExtendedRational,
@@ -39,7 +49,7 @@ from .rationals import (
 from .spectra import (
     CatalystSpectrum,
     Spectrum4,
-    epsilon_decompose,
+    _slacks,
     make_catalyst,
     make_spectrum,
     two_qubit_catalyst,
@@ -61,17 +71,45 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _ratio_field(num: int, den: int) -> dict:
+    """The report field of num/den, den > 0; the exact text in lowest terms."""
+    g = gcd(num, den)
+    decimal, exact = decimal_text(num, den)
+    return {"exact": ratio_text(num // g, den // g), "decimal": decimal, "decimal_is_exact": exact}
+
+
 def _rational_field(value: ExtendedRational) -> dict:
-    decimal, exact = render_decimal(value)
-    return {
-        "exact": render_rational(value),
-        "decimal": decimal,
-        "decimal_is_exact": exact,
-    }
+    if isinstance(value, Fraction):
+        return _ratio_field(*value.as_integer_ratio())
+    return {"exact": "inf", "decimal": "inf", "decimal_is_exact": True}  # INFINITY
 
 
-def _rational_strings(values) -> list[str]:
-    return [render_rational(v) for v in values]
+def _ratio_strings(nums, den: int) -> list[str]:
+    """The "num/den" text of each of nums over den, in lowest terms."""
+    return [ratio_text(n // g, den // g) for n in nums for g in [gcd(n, den)]]
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) of a report (dicts with string keys,
+    lists, strings, ints, booleans and None), without json's pure-Python
+    encoder, which any indent selects."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    # Identity, not a lookup: True == 1 and False == 0.
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+    else:
+        brackets = "[]"
+        items = [_json_text(item, inner) for item in value]
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _rational(value, label: str) -> Fraction:
@@ -81,15 +119,16 @@ def _rational(value, label: str) -> Fraction:
         raise InputError(f"{label}: {exc}") from None
 
 
-def _rationals(values, label: str) -> list[Fraction]:
+def _array(values, label: str) -> list:
     if not isinstance(values, list):
         raise InputError(f"{label} must be an array of rational strings")
-    return [_rational(v, label) for v in values]
+    return values
 
 
 def _spectrum(values, label: str) -> Spectrum4:
+    texts = [str(v) for v in _array(values, label)]
     try:
-        return make_spectrum(_rationals(values, label))
+        return make_spectrum(texts)
     except ValueError as exc:
         raise InputError(f"{label}: {exc}") from None
 
@@ -156,19 +195,22 @@ def _cmd_check_locc(request: dict) -> dict:
     violated = first_violated_index(source, target)
     return {
         "possible": violated is None,
-        "partial_sums_source": _rational_strings(partial_sums(source)),
-        "partial_sums_target": _rational_strings(partial_sums(target)),
+        "partial_sums_source": _ratio_strings(accumulate(source.scaled[0]), source.scaled[1]),
+        "partial_sums_target": _ratio_strings(accumulate(target.scaled[0]), target.scaled[1]),
         "first_violated_index": violated,
     }
 
 
 def _report_json(report: FeasibilityReport) -> dict:
-    def interval(pair) -> list | None:
-        if pair is None:
-            return None
-        return [_rational_field(pair[0]), _rational_field(pair[1])]
-
+    """The analyze report, rendered from the bounds' int pairs."""
     verdict, reason = report.verdict, None
+    r_interval = p_interval = None
+    if verdict is Verdict.CATALYZABLE:
+        (mn, md), (big_n, big_d) = report.m.as_integer_ratio(), report.M.as_integer_ratio()
+        r_interval = [_ratio_field(mn, md), _ratio_field(big_n, big_d)]
+        # p = 1/(1 + r) = d/(n + d) for r = n/d, already in lowest terms; r
+        # decreases in p, so the ends swap (FeasibilityReport.p_interval).
+        p_interval = [_ratio_field(big_d, big_n + big_d), _ratio_field(md, mn + md)]
     violation = report.star_violation
     if violation is not None:
         reason = {
@@ -182,8 +224,8 @@ def _report_json(report: FeasibilityReport) -> dict:
         "verdict": verdict.value,
         "m": None if report.m is None else _rational_field(report.m),
         "M": None if report.M is None else _rational_field(report.M),
-        "r_interval": interval(report.r_interval),
-        "p_interval": interval(report.p_interval),
+        "r_interval": r_interval,
+        "p_interval": p_interval,
         "reason": reason,
     }
 
@@ -197,27 +239,30 @@ def _catalyst(request: dict) -> CatalystSpectrum:
     if ("catalyst" in request) == ("p" in request):
         raise InputError("provide exactly one of --catalyst or --p (or a document key)")
     if "catalyst" in request:
-        return make_catalyst(_rationals(request["catalyst"], "catalyst"))
+        # Parsed first: a parse error names the key, a check error does not.
+        values = _array(request["catalyst"], "catalyst")
+        return make_catalyst([_rational(v, "catalyst") for v in values])
     return two_qubit_catalyst(_rational(request["p"], "p"))
 
 
 def _cmd_validate(request: dict) -> dict:
     source, target = _spectrum_pair(request)
     catalyst = _catalyst(request)
+    kappa, den = catalyst.scaled
     report = analyze(source, target)
     already_possible = report.verdict is Verdict.LOCC_ALREADY_POSSIBLE
     oracle_verdict = oracle_valid_catalyst(source, target, catalyst)
     theorem_verdict: bool | None = None
-    if len(catalyst) == 2:
+    if len(kappa) == 2:
         if already_possible:
             # Majorization survives pairing with any shared catalyst, so the
             # transformation stays possible; no interval check applies.
             theorem_verdict = True
         else:
-            theorem_verdict = is_valid_catalyst(source, target, catalyst[0])
+            theorem_verdict = is_valid_catalyst(source, target, Fraction(kappa[0], den))
     return {
-        "catalyst": _rational_strings(catalyst),
-        "p": render_rational(catalyst[0]) if len(catalyst) == 2 else None,
+        "catalyst": _ratio_strings(kappa, den),
+        "p": _ratio_strings(kappa[:1], den)[0] if len(kappa) == 2 else None,
         "locc_already_possible": already_possible,
         "theorem_verdict": theorem_verdict,
         "oracle_verdict": oracle_verdict,
@@ -243,16 +288,20 @@ def _cmd_construct(request: dict) -> dict:
     big_m0 = _rational(request["M0"], "M0")
     mu = _rational(request["mu"], "mu") if "mu" in request else None
     result = construct_states(m0, big_m0, mu)
-    eps = epsilon_decompose(result.source, result.target)
+    (alpha, den_s), (beta, den_t) = result.source.scaled, result.target.scaled
+    # The bounds recomputed from the pair on the ints, as analyze does;
+    # eps1 = mu a > 0, so m is finite.
+    slacks = _slacks(result.source, result.target)
+    alpha_t = [a * den_t for a in alpha]
     return {
         "branch": result.branch.value,
         "mu": _rational_field(result.mu),
-        "a": _rational_field(result.a),
-        "source": _rational_strings(result.source),
-        "target": _rational_strings(result.target),
-        "epsilon": _rational_strings((eps.eps1, eps.eps2, eps.eps3)),
-        "recomputed_m": _rational_field(compute_m(result.source, eps)),
-        "recomputed_M": _rational_field(compute_M(result.source, eps)),
+        "a": _ratio_field(beta[0], den_t),
+        "source": _ratio_strings(alpha, den_s),
+        "target": _ratio_strings(beta, den_t),
+        "epsilon": _ratio_strings(slacks, den_s * den_t),
+        "recomputed_m": _ratio_field(*_lower_bound(alpha_t, slacks)),
+        "recomputed_M": _ratio_field(*_upper_bound(alpha_t, slacks)),
     }
 
 
@@ -335,7 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         result = args.handler(_request(args))
         is_report = isinstance(result, dict)
-        print(json.dumps(result, indent=2) if is_report else "\n".join(result))
+        print(_json_text(result) if is_report else "\n".join(result))
         # A reader that went away must surface here, not at interpreter exit.
         sys.stdout.flush()
     except (InputError, ValueError, TypeError) as exc:

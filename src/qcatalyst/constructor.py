@@ -24,15 +24,20 @@ alpha2 - eps1 > 0.  Every other invariant is one linear limit mu <= L_i:
 the mu that verify are exactly (0, L], L the least of the five.  The
 default mu is the first of bound/2, bound/4, ... (mu_admissible_bound) that
 is at most L, bound / 2^(j+1) with j read off a bit length.
+
+All of it runs on ints.  With m0 = p/r, M0 = P/Q and mu = U/V in lowest
+terms, the profile is (W, H, H, q) / W (so h = H/W), the target is
+(W, H, H, q) / S with S = W + 2H + q (so a = W/S), and each limit, the
+bound, the pair and its check are ratios of ints over positive denominators.
 """
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
 
-from .catalysis import compute_M, compute_m
-from .rationals import HALF, value_text
-from .spectra import EpsilonTriple, Spectrum4, _as_fraction, _Frozen, epsilon_decompose
+from .catalysis import _lower_bound, _upper_bound
+from .rationals import ratio_key, value_text
+from .spectra import Spectrum4, _as_fraction, _Frozen, _slacks
 
 
 class Branch(Enum):
@@ -51,11 +56,22 @@ class ConstructionResult(_Frozen):
         return self.target[0]
 
 
-def _validate_targets(m0: Fraction, M0: Fraction) -> None:
+def _targets(m0: Fraction, M0: Fraction) -> tuple[int, int, int, int]:
+    """(p, r, P, Q) with m0 = p/r and M0 = P/Q in lowest terms; raises
+    unless m0 > 0 and 0 < M0 < 1."""
+    m0 = _as_fraction(m0)
+    M0 = _as_fraction(M0)
     if m0 <= 0:
         raise ValueError(f"m0 must be positive, got {value_text(m0)}")
     if not 0 < M0 < 1:
         raise ValueError(f"M0 must lie strictly between 0 and 1, got {value_text(M0)}")
+    return (*m0.as_integer_ratio(), *M0.as_integer_ratio())
+
+
+def _bound(p: int, r: int, P: int, Q: int) -> tuple[int, int]:
+    """mu_admissible_bound for m0 = p/r, M0 = P/Q, as a pair of ints."""
+    terms = [(Q - P, 2 * (Q + P)), ((2 * r - min(p, r)) * Q, 4 * r * (Q + 2 * P))]
+    return min(terms, key=ratio_key)
 
 
 def mu_admissible_bound(m0: Fraction, M0: Fraction) -> Fraction:
@@ -63,35 +79,37 @@ def mu_admissible_bound(m0: Fraction, M0: Fraction) -> Fraction:
     with h = min(m0, 1)/2.  The default mu is bound / 2**(j+1), the first of
     bound/2, bound/4, ... within the five limits of the module docstring.
     """
-    m0 = _as_fraction(m0)
-    M0 = _as_fraction(M0)
-    _validate_targets(m0, M0)
-    return min(HALF * (1 - M0) / (1 + M0), HALF * (1 - min(m0 / 2, HALF)) / (1 + 2 * M0))
+    return Fraction(*_bound(*_targets(m0, M0)))
 
 
-def _profile(m0: Fraction) -> tuple[Branch, Fraction, Fraction, Fraction]:
-    """(branch, a, h, q): the scale and the target profile's middle and last."""
-    if m0 <= 1:
-        return Branch.M0_LE_1, (2 / (m0 + 2)) ** 2, m0 / 2, m0 * m0 / 4
+def _profile(p: int, r: int) -> tuple[Branch, int, int, int]:
+    """(branch, W, H, q) for m0 = p/r: the target profile is (W, H, H, q) / W,
+    so the target is (W, H, H, q) / (W + 2H + q) and a = W / (W + 2H + q)."""
+    if p <= r:  # h = m0/2 and q = m0^2/4, over W = 4 r^2
+        return Branch.M0_LE_1, 4 * r * r, 2 * p * r, p * p
     # The target profile sums to 9/4, so normalization forces a = 4/9.
-    return Branch.M0_GT_1, Fraction(4, 9), HALF, Fraction(1, 4)
+    return Branch.M0_GT_1, 4, 2, 1
 
 
-def _first_admissible_mu(m0: Fraction, M0: Fraction, h: Fraction, q: Fraction) -> Fraction:
+def _first_admissible_mu(
+    p: int, r: int, P: int, Q: int, W: int, H: int, q: int
+) -> tuple[int, int]:
     """The first mu = bound / 2**(j+1), j >= 0, within all five limits of the
-    module docstring; every earlier one fails to verify."""
-    limit = min(
-        (1 - h) / (m0 + 2),
-        (h - q) / ((2 * M0 + 1) * m0),
-        1 - h / m0,
-        (m0 * h - q) / (m0 * m0),
-        h * (1 - M0) / (m0 * (1 + M0)),
-    )
-    bound = mu_admissible_bound(m0, M0)
-    n, d = (bound / limit).as_integer_ratio()
+    module docstring, as a pair of ints; every earlier one fails to verify.
+    Each limit is written with h = H/W and the profile's last as q/W, over
+    a positive denominator."""
+    ln, ld = min([
+        ((W - H) * r, W * (p + 2 * r)),
+        ((H - q) * Q * r, W * (2 * P + Q) * p),
+        (W * p - H * r, W * p),
+        ((p * H - q * r) * r, W * p * p),
+        (H * (Q - P) * r, W * p * (Q + P)),
+    ], key=ratio_key)
+    bn, bd = _bound(p, r, P, Q)
+    n, d = bn * ld, bd * ln  # bound / limit
     # The least power 2**(j+1) >= n/d, i.e. >= ceil(n/d), is 2**bit_length(ceil(n/d) - 1).
     j = max((-(-n // d) - 1).bit_length() - 1, 0)
-    return bound / 2 ** (j + 1)
+    return bn, bd << (j + 1)
 
 
 def construct_states(
@@ -102,38 +120,48 @@ def construct_states(
     mu defaults to the closed-form choice of the module docstring; a pinned
     mu must be positive.  Either way the pair is verified, and a ValueError
     is raised if it breaks any invariant.  Raises ValueError when m0 <= 0
-    or M0 is outside (0, 1).
+    or M0 is outside (0, 1).  The pair is built and verified on the ints.
     """
-    m0 = _as_fraction(m0)
-    M0 = _as_fraction(M0)
-    _validate_targets(m0, M0)
-    branch, a, h, q = _profile(m0)
+    p, r, P, Q = _targets(m0, M0)
+    branch, W, H, q = _profile(p, r)
     if mu is None:
-        mu = _first_admissible_mu(m0, M0, h, q)
+        U, V = _first_admissible_mu(p, r, P, Q, W, H, q)
+        mu = Fraction(U, V)
     else:
         mu = _as_fraction(mu)
         if mu <= 0:
             raise ValueError(f"mu must be positive, got {value_text(mu)}")
+    U, V = mu.as_integer_ratio()
+    # a * (1 - mu, h + (m0+1) mu, h - (M0+1) m0 mu, q + M0 m0 mu) over
+    # den = S V r Q, with a = W/S; the slacks (mu a, m0 mu a, M0 m0 mu a)
+    # over the same den.
+    S = W + 2 * H + q
+    den = S * V * r * Q
+    expected = (U * W * r * Q, p * U * W * Q, P * p * U * W)
     try:
-        source = Spectrum4((
-            a * (1 - mu),
-            a * (h + (m0 + 1) * mu),
-            a * (h - (M0 + 1) * m0 * mu),
-            a * (q + M0 * m0 * mu),
-        ))
-        target = Spectrum4((a, a * h, a * h, a * q))
+        source = Spectrum4._from_form([
+            (V - U) * W * r * Q,
+            H * V * r * Q + (p + r) * U * W * Q,
+            H * V * r * Q - (P + Q) * p * U * W,
+            q * V * r * Q + P * p * U * W,
+        ], den)
+        target = Spectrum4._from_form([W, H, H, q], S)
     except ValueError:  # the source is out of order or negative
         verified = False
     else:
-        eps = epsilon_decompose(source, target)
+        # The slacks over den_s * den_t, then m and M from them as analyze
+        # computes them; eps1 = mu a > 0 once the slacks match, so m is finite.
+        slacks = _slacks(source, target)
+        (alpha, den_s), (_, den_t) = source.scaled, target.scaled
+        alpha = [x * den_t for x in alpha]
         verified = (
-            eps == EpsilonTriple(mu * a, m0 * mu * a, M0 * m0 * mu * a)
-            and compute_m(source, eps) == m0
-            and compute_M(source, eps) == M0
+            all(e * den == x * den_s * den_t for e, x in zip(slacks, expected))
+            and ratio_key(_lower_bound(alpha, slacks)) == ratio_key((p, r))
+            and ratio_key(_upper_bound(alpha, slacks)) == ratio_key((P, Q))
         )
     if not verified:
         raise ValueError(
             f"mu = {value_text(mu)} violates the construction invariants "
-            f"for m0={value_text(m0)}, M0={value_text(M0)}"
+            f"for m0={value_text(Fraction(p, r))}, M0={value_text(Fraction(P, Q))}"
         )
     return ConstructionResult(source, target, mu, branch)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .rationals import value_text
-from .spectra import Spectrum4, _Scaled, _as_fraction, _integer_form
+from .spectra import Spectrum4, _as_pair, _integer_form, _Scaled
 
 
 def _scaled(values: Iterable) -> tuple[Sequence[int], int]:
@@ -22,7 +22,7 @@ def _scaled(values: Iterable) -> tuple[Sequence[int], int]:
     descending; raises on a negative component."""
     if isinstance(values, _Scaled):
         return values.scaled
-    nums, den = _integer_form([_as_fraction(v) for v in values])
+    nums, den = _integer_form([_as_pair(v) for v in values])
     nums.sort(reverse=True)
     if nums and nums[-1] < 0:
         least = value_text(Fraction(nums[-1], den))

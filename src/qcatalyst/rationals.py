@@ -3,6 +3,9 @@
 Every quantity the package takes or returns is a ``fractions.Fraction``
 (arbitrary precision, canonical reduced form, exact comparisons); the hot
 paths underneath work on integer numerators over a common denominator.
+Text is read into (numerator, denominator) ints by ``parse_ratio``, and
+``ratio_text``/``decimal_text`` write int pairs back out, so a request can
+go from text to text without a Fraction.
 Binary floats are banned from all computations; they appear nowhere except
 as the ordering sentinel ``INFINITY`` below, which never enters arithmetic.
 """
@@ -12,6 +15,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import cmp_to_key
 
 # Upper bound of the catalyst-ratio interval can be unbounded; comparisons
 # between Fraction and math.inf are exact (CPython special-cases infinities),
@@ -27,41 +31,70 @@ HALF = Fraction(1, 2)
 # 10**exponent), and CPython's default digit limit on each number in the text.
 MAX_EXPONENT = MAX_DIGITS = 4300
 
-_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# Fraction's string grammar (CPython 3.11), parsed by parse_ratio.
+_RATIONAL = re.compile(
+    r"\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)"
+    r"(?:/(?P<den>\d+(?:_\d+)*)|(?:\.(?P<decimal>\d*|\d+(?:_\d+)*))?"
+    r"(?:E(?P<exp>[-+]?\d+(?:_\d+)*))?)\s*\Z",
+    re.IGNORECASE,
+)
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 # Over MAX_DIGITS digits, maybe split by underscores; compiled on the error path.
 _LONG_NUMBER = r"\d(?:_?\d){%d}" % MAX_DIGITS
+
+# Sort key of (numerator, denominator > 0) int pairs by value; its keys
+# compare, and test equal, by cross-multiplying.
+ratio_key = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
 
 # Fractional digits render_decimal writes before it truncates.
 _DECIMAL_DIGITS = 12
 _DECIMAL_SCALE = 10**_DECIMAL_DIGITS
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" or a finite decimal literal into an exact Fraction.
+def _exponent_in_range(exponent: str | None) -> bool:
+    try:
+        return exponent is None or abs(int(exponent)) <= MAX_EXPONENT
+    except ValueError:  # more digits than int() converts: far out of range
+        return False
 
-    Decimal literals convert through powers of ten ("0.45" -> 9/20); the
-    value never passes through a binary float.
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse "num/den" or a finite decimal literal, in Fraction's grammar,
+    into (numerator, denominator) ints: denominator > 0, not reduced, so
+    "0.40" -> (40, 100).  The value never passes through a binary float.
 
     Raises ValueError on malformed text, a zero denominator, a number of
     more than MAX_DIGITS digits or an exponent beyond MAX_EXPONENT.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    exponent = _EXPONENT.search(text)
-    try:
-        in_range = exponent is None or int(exponent.group(1)) <= MAX_EXPONENT
-    except ValueError:  # more digits than int() converts: far out of range
-        in_range = False
-    if not in_range:
+    match = _RATIONAL.match(text)
+    # Checked first, on malformed text too; Fraction would build 10**exponent.
+    exponent = match["exp"] if match else (found := _EXPONENT.search(text)) and found[1]
+    if not _exponent_in_range(exponent):
         raise ValueError(f"exponent of rational {text!r} exceeds {MAX_EXPONENT} in magnitude")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {text!r}") from None
+        if match is None:
+            raise ValueError
+        num, den = int(match["num"] or "0"), int(match["den"] or "1")
+        decimal = (match["decimal"] or "").replace("_", "")
+        if decimal:
+            num, den = num * 10 ** len(decimal) + int(decimal), 10 ** len(decimal)
     except ValueError:
         if re.search(_LONG_NUMBER, text):
             raise ValueError(f"rational {text!r} has a number over {MAX_DIGITS} digits") from None
         raise ValueError(f"malformed rational {text!r}") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in rational {text!r}")
+    if exponent:
+        exponent = int(exponent)
+        num, den = (num * 10**exponent, den) if exponent >= 0 else (num, den * 10**-exponent)
+    return (-num if match["sign"] == "-" else num), den
+
+
+def parse_rational(text: str) -> Fraction:
+    """parse_ratio's value as a Fraction, with its messages."""
+    return Fraction(*parse_ratio(text))
 
 
 def _int_text(n: int) -> str:

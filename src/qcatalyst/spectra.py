@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .rationals import parse_rational, value_text
+from .rationals import parse_ratio, parse_rational, value_text
 
 
 def _as_fraction(value: Fraction | int | str) -> Fraction:
@@ -44,32 +44,25 @@ def _as_fraction(value: Fraction | int | str) -> Fraction:
     return Fraction(value)
 
 
-def _integer_form(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The numerators of ``values`` over their lcm denominator, and that denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
+def _as_pair(value: Fraction | int | str) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a value _as_fraction accepts; a
+    string is parsed to the ints directly, and not reduced."""
+    if isinstance(value, str):
+        return parse_ratio(value)
+    return _as_fraction(value).as_integer_ratio()
+
+
+def _integer_form(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The numerators of the (numerator, denominator) ``pairs`` over their
+    lcm denominator, and that denominator."""
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 def _require_fractions(values: Iterable, what: str) -> None:
     """Raise TypeError unless every one of ``values`` is a Fraction."""
     if not all([isinstance(v, Fraction) for v in values]):
         raise TypeError(f"{what} must be Fractions")
-
-
-def _check_canonical(values: tuple[Fraction, ...], what: str) -> tuple[tuple[int, ...], int]:
-    """Raise unless ``values`` are nonnegative Fractions, sorted descending,
-    summing to 1; return their integer form."""
-    _require_fractions(values, f"{what} components")
-    nums, den = _integer_form(values)
-    if min(nums) < 0:
-        raise ValueError(f"{what} components must be nonnegative")
-    if nums != sorted(nums, reverse=True):
-        raise ValueError(f"{what} components must be sorted descending")
-    if sum(nums) != den:
-        total = value_text(Fraction(sum(nums), den))
-        raise ValueError(f"{what} components must sum to 1, got {total}")
-    return tuple(nums), den
 
 
 def _two_qubit_parameter(p: Fraction) -> tuple[int, int]:
@@ -145,33 +138,80 @@ class _Scaled(_Frozen):
         return tuple(self)[index]
 
 
-class Spectrum4(_Scaled):
+class _Canonical(_Scaled):
+    """A canonical probability vector: nonnegative, sorted descending, sum 1.
+    It is built from its Fractions in that order, or by ``_of`` from
+    (numerator, denominator) pairs in any order; either way the checks run in
+    one order, after the length check, and only the reduced ``scaled`` is
+    stored."""
+
+    __slots__ = ()
+    _what = ""
+
+    def __init__(self, components: tuple[Fraction, ...]) -> None:
+        self._check_length(len(components))
+        _require_fractions(components, f"{self._what} components")
+        nums, den = _integer_form([v.as_integer_ratio() for v in components])
+        super().__init__(self._checked(nums, den))
+
+    @classmethod
+    def _of(cls, pairs: list[tuple[int, int]]) -> _Canonical:
+        cls._check_length(len(pairs))
+        nums, den = _integer_form(pairs)
+        nums.sort(reverse=True)
+        return cls._from_form(nums, den)
+
+    @classmethod
+    def _from_form(cls, nums: list[int], den: int) -> _Canonical:
+        """The value of integer form nums over den, checked and reduced."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "scaled", cls._checked(nums, den))
+        return value
+
+    @classmethod
+    def _checked(cls, nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+        """Raise unless nums over den are nonnegative, sorted descending and
+        sum to 1; return them in lowest terms."""
+        if min(nums) < 0:
+            raise ValueError(f"{cls._what} components must be nonnegative")
+        if nums != sorted(nums, reverse=True):
+            raise ValueError(f"{cls._what} components must be sorted descending")
+        if (total := sum(nums)) != den:
+            shown = value_text(Fraction(total, den))
+            raise ValueError(f"{cls._what} components must sum to 1, got {shown}")
+        g = gcd(den, *nums)
+        return tuple([n // g for n in nums]), den // g
+
+
+class Spectrum4(_Canonical):
     """Canonical four-component Schmidt spectrum (sorted descending, sum 1);
     only ``scaled`` is stored, and ``alpha`` is read from it.  Each read of
     ``alpha`` or of a component builds the four Fractions again."""
 
     __slots__ = ()
     _fields = ("alpha",)
+    _what = "spectrum"
 
-    def __init__(self, alpha: tuple[Fraction, Fraction, Fraction, Fraction]) -> None:
-        if len(alpha) != 4:
-            raise ValueError(f"spectrum needs exactly 4 components, got {len(alpha)}")
-        super().__init__(_check_canonical(alpha, "spectrum"))
+    @staticmethod
+    def _check_length(n: int) -> None:
+        if n != 4:
+            raise ValueError(f"spectrum needs exactly 4 components, got {n}")
 
     alpha = property(tuple, doc="The components, as reduced Fractions.")
 
 
-class CatalystSpectrum(_Scaled):
+class CatalystSpectrum(_Canonical):
     """Canonical catalyst spectrum: n >= 1 components, sorted descending, sum 1;
     only ``scaled`` is stored, and ``kappa`` is read from it."""
 
     __slots__ = ()
     _fields = ("kappa",)
+    _what = "catalyst"
 
-    def __init__(self, kappa: tuple[Fraction, ...]) -> None:
-        if len(kappa) < 1:
+    @staticmethod
+    def _check_length(n: int) -> None:
+        if n < 1:
             raise ValueError("catalyst needs at least one component")
-        super().__init__(_check_canonical(kappa, "catalyst"))
 
     kappa = property(tuple, doc="The components, as reduced Fractions.")
 
@@ -225,14 +265,15 @@ def make_spectrum(values: Iterable[Fraction | int | str]) -> Spectrum4:
     """Build a canonical spectrum from four probabilities in any order.
 
     Raises ValueError on a malformed rational, a count other than 4, a
-    negative component or a sum different from 1.
+    negative component or a sum different from 1.  Strings are parsed to
+    ints, and the spectrum is built on the ints: no Fraction is made.
     """
-    return Spectrum4(tuple(sorted((_as_fraction(v) for v in values), reverse=True)))
+    return Spectrum4._of([_as_pair(v) for v in values])
 
 
 def make_catalyst(values: Iterable[Fraction | int | str]) -> CatalystSpectrum:
     """Build a canonical catalyst spectrum from components in any order."""
-    return CatalystSpectrum(tuple(sorted((_as_fraction(v) for v in values), reverse=True)))
+    return CatalystSpectrum._of([_as_pair(v) for v in values])
 
 
 def two_qubit_catalyst(p: Fraction) -> CatalystSpectrum:
@@ -247,6 +288,29 @@ def two_qubit_catalyst(p: Fraction) -> CatalystSpectrum:
     return catalyst
 
 
+def _slacks(source: Spectrum4, target: Spectrum4) -> tuple[int, int, int]:
+    """(eps1, eps2, eps3) of source -> target on the integer forms, as
+    numerators over den_s * den_t, whatever their signs."""
+    (s, den_s), (t, den_t) = source.scaled, target.scaled
+    return (
+        t[0] * den_s - s[0] * den_t,
+        (s[0] + s[1]) * den_t - (t[0] + t[1]) * den_s,
+        s[3] * den_t - t[3] * den_s,
+    )
+
+
+def _star_violation(eps1: int, eps2: int, eps3: int) -> StarViolation | None:
+    """The first sign condition, in (eps1, eps2, eps3) order, that the
+    slacks break, or None."""
+    if eps1 < 0:
+        return StarViolation.EPS1_NEGATIVE
+    if eps2 <= 0:
+        return StarViolation.EPS2_NOT_POSITIVE
+    if eps3 < 0:
+        return StarViolation.EPS3_NEGATIVE
+    return None
+
+
 def epsilon_decompose(
     source: Spectrum4, target: Spectrum4
 ) -> EpsilonTriple | StarViolation:
@@ -255,17 +319,12 @@ def epsilon_decompose(
     On success the third target line holds automatically by normalization:
     target3 = source3 + eps2 + eps3.  Multiple violations report the first
     in (eps1, eps2, eps3) order.  The slacks are computed on the integer
-    forms, as numerators over den_s * den_t; a Fraction is built only for
-    each slack of a returned triple.
+    forms (_slacks); a Fraction is built only for each slack of a returned
+    triple.
     """
-    (s, den_s), (t, den_t) = source.scaled, target.scaled
-    eps1 = t[0] * den_s - s[0] * den_t
-    eps2 = (s[0] + s[1]) * den_t - (t[0] + t[1]) * den_s
-    eps3 = s[3] * den_t - t[3] * den_s
-    if eps1 < 0:
-        return StarViolation.EPS1_NEGATIVE
-    if eps2 <= 0:
-        return StarViolation.EPS2_NOT_POSITIVE
-    if eps3 < 0:
-        return StarViolation.EPS3_NEGATIVE
-    return EpsilonTriple(*[Fraction(eps, den_s * den_t) for eps in (eps1, eps2, eps3)])
+    slacks = _slacks(source, target)
+    violation = _star_violation(*slacks)
+    if violation is not None:
+        return violation
+    den = source.scaled[1] * target.scaled[1]
+    return EpsilonTriple(*[Fraction(eps, den) for eps in slacks])

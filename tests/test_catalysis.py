@@ -85,6 +85,48 @@ class TestComputeBounds:
         with pytest.raises(DegenerateSpectrumError, match="second"):
             compute_M(alpha, eps)
 
+    @given(spectra(), spectra())
+    @example(make_spectrum(["0.7", "0.1", "0.1", "0.1"]), make_spectrum(["0.5", "0.5", "0", "0"]))
+    @settings(max_examples=300)
+    def test_bounds_match_the_fraction_formulas(self, alpha, other):
+        # The slacks of a real decomposition when there is one; otherwise
+        # any triple read off the second spectrum, which reaches the
+        # vanishing middle term and alpha2 - eps1 <= 0 too.
+        eps = epsilon_decompose(alpha, other)
+        if not isinstance(eps, EpsilonTriple):
+            eps = EpsilonTriple(other[1], other[0], other[3])
+        assert compute_m(alpha, eps) == reference_m(alpha, eps)
+        try:
+            expected = reference_M(alpha, eps)
+        except ZeroDivisionError:
+            expected = None
+        if expected is None or alpha[1] - eps.eps1 <= 0:
+            with pytest.raises(DegenerateSpectrumError) as raised:
+                compute_M(alpha, eps)
+            assert str(raised.value) == (
+                "alpha2 - eps1 <= 0: implied target has a vanishing second coefficient"
+            )
+        else:
+            assert compute_M(alpha, eps) == expected
+
+
+def reference_m(alpha, eps):
+    """The module docstring's m, on the Fractions."""
+    a1, a2, a3, a4 = alpha
+    e1, e2, e3 = eps.eps1, eps.eps2, eps.eps3
+    if e1 == 0:
+        return INFINITY
+    terms = [(a2 - e1) / (a1 + e1), e2 / e1]
+    if a3 + e3 != 0:
+        terms.append((a4 - e3) / (a3 + e3))
+    return max(terms)
+
+
+def reference_M(alpha, eps):
+    """The module docstring's M, on the Fractions."""
+    _, a2, a3, _ = alpha
+    return min((a3 + eps.eps3) / (a2 - eps.eps1), eps.eps3 / eps.eps2)
+
 
 class TestAnalyze:
     def test_catalyzable_example(self):

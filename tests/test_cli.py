@@ -53,6 +53,41 @@ def test_readme_examples_byte_identical(capsys, monkeypatch, case):
     assert (code, out) == (case["exit_code"], case["stdout"])
 
 
+# Report-shaped JSON: 0 and 1 beside False and True (True == 1, so a dict
+# lookup would confuse them), quotes, control and non-ASCII characters.
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, -1]), st.integers(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600"]),
+)
+_json_documents = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    @given(st.one_of(_json_documents, st.dictionaries(st.text(), _json_documents, max_size=6)))
+    @settings(max_examples=100)
+    def test_matches_json_dumps_indent_2(self, document):
+        assert cli._json_text(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize(
+        "document", [{}, [], {"a": {}}, {"b": []}, [[], {}], {"x": [True, 1, False, 0, None]}]
+    )
+    def test_empty_containers_and_bool_beside_int(self, document):
+        assert cli._json_text(document) == json.dumps(document, indent=2)
+
+    def test_every_golden_report(self):
+        reports = [case["stdout"] for case in GOLDEN if case["stdout"].startswith("{")]
+        assert len(reports) >= 4
+        for text in reports:
+            assert cli._json_text(json.loads(text)) + "\n" == text
+
+
 class TestCheckLocc:
     def test_blocked_pair(self, capsys):
         code, out, _ = run(capsys, ["check-locc", *CATALYZABLE])

@@ -1,5 +1,7 @@
+import contextlib
 import cProfile
 import fractions
+import io
 import pstats
 import subprocess
 import sys
@@ -9,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcatalyst.cli as cli
 from qcatalyst import (
     Verdict,
     analyze,
     augment,
+    compute_M,
+    compute_m,
     construct_states,
     epsilon_decompose,
     feasible_p_set,
@@ -153,7 +158,37 @@ def violation_or_message(a, b):
         return str(exc)
 
 
+def cli_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
 class TestOnTheIntegers:
+    def test_uncached_analyze_request_builds_only_m_and_M(self):
+        # Text to ints, the spectra, the slacks, the bounds and the report
+        # are all ints; the report's m and M are the two Fractions (36 when
+        # the request went through Fractions).
+        argv = ["analyze", "--source", "0.4,0.4,0.1,0.1", "--target", "0.5,0.25,0.25,0"]
+        analyze.cache_clear()
+        assert fractions_built(cli_quietly, argv) == 2
+
+    def test_locc_verdict_builds_no_fraction(self):
+        source = make_spectrum([F(1, 2), F(1, 4), F(1, 4), F(0)])
+        target = make_spectrum([F(1), F(0), F(0), F(0)])
+        analyze.cache_clear()
+        assert fractions_built(analyze, source, target) == 0
+        assert analyze(source, target).verdict is Verdict.LOCC_ALREADY_POSSIBLE
+
+    def test_each_bound_builds_one_fraction(self):
+        eps = epsilon_decompose(CAT_SOURCE, CAT_TARGET)
+        assert fractions_built(compute_m, CAT_SOURCE, eps) == 1
+        assert fractions_built(compute_M, CAT_SOURCE, eps) == 1
+
+    def test_construct_request(self):
+        # The constructor builds and checks the pair on the ints: the three
+        # Fractions are m0, M0 and mu (123 when it worked in Fractions).
+        assert fractions_built(cli_quietly, ["construct", "--m0", "7/30", "--M0", "3/7"]) == 3
+
     def test_no_fraction_per_check(self):
         catalyst = two_qubit_catalyst(F(3, 5))
         assert fractions_built(oracle_valid_catalyst, CAT_SOURCE, CAT_TARGET, catalyst) == 0

@@ -1,7 +1,9 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qcatalyst import (
@@ -10,7 +12,7 @@ from qcatalyst import (
     render_decimal,
     render_rational,
 )
-from qcatalyst.rationals import value_text
+from qcatalyst.rationals import parse_ratio, value_text
 
 
 class TestParseRational:
@@ -65,6 +67,103 @@ class TestParseRational:
         # come back, not the nearest double.
         assert parse_rational("0.1") == Fraction(1, 10)
         assert parse_rational("0.1") != Fraction(0.1)
+
+
+def fraction_parse(text):
+    """The reference parse: Fraction(text) behind the exponent and digit
+    guards, with the messages parse_rational gives."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    exponent = re.search(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    try:
+        in_range = exponent is None or int(exponent.group(1)) <= 4300
+    except ValueError:
+        in_range = False
+    if not in_range:
+        raise ValueError(f"exponent of rational {text!r} exceeds 4300 in magnitude")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
+    except ValueError:
+        if re.search(r"\d(?:_?\d){4300}", text):
+            raise ValueError(f"rational {text!r} has a number over 4300 digits") from None
+        raise ValueError(f"malformed rational {text!r}") from None
+
+
+def outcome(parse, text):
+    """What parse(text) returns, or the message of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+_digits = st.text("0123456789", min_size=1, max_size=5)
+_grouped = st.lists(_digits, min_size=1, max_size=3).map("_".join)
+_signs = st.sampled_from(["", "-", "+"])
+_spaces = st.sampled_from(["", " ", "\t", "\n", "\u2003"])
+_exponents = st.one_of(
+    st.just(""),
+    st.builds("".join, st.tuples(
+        st.sampled_from("eE"), _signs,
+        st.one_of(_grouped, st.sampled_from(["4300", "4301", "4_301", "9" * 5000])),
+    )),
+)
+_literals = st.builds(
+    "".join,
+    st.tuples(
+        _spaces, _signs, st.one_of(st.just(""), _grouped),
+        st.one_of(
+            _grouped.map("/{}".format),
+            st.builds("".join, st.tuples(
+                st.sampled_from(["", "."]), st.one_of(st.just(""), _grouped), _exponents,
+            )),
+        ),
+        _spaces,
+    ),
+)
+# Past the 4,300 digits int() converts: a whole part, a fractional part, a
+# denominator, and digits split by underscores.
+_LONG = ["1" * 4301, "0." + "1" * 4301, "1/" + "1" * 4301, "1_" * 4300 + "1", "1" * 4301 + "/0"]
+rational_inputs = st.one_of(
+    _literals,
+    st.text("0123456789_-+./eE d\t\u0663x", max_size=10),
+    st.sampled_from(_LONG),
+    st.sampled_from([5, None, Fraction(1, 2), b"1", ["1"]]),
+)
+
+
+class TestIntParser:
+    # parse_ratio reads Fraction's grammar as of CPython 3.11 on every
+    # version; 3.10's Fraction has no underscores, 3.12's allows spaces
+    # around "/".
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned to 3.11's Fraction")
+    @given(rational_inputs)
+    @example("1.")
+    @example(".5")
+    @example("1/0")
+    @example("1e-4300")
+    @example("1e4301")
+    @example("1.d")
+    @example("\u0663/\u0665")
+    @example("1" * 4301 + "e9999")
+    def test_pinned_to_parse_rational_and_fraction(self, text):
+        expected = outcome(fraction_parse, text)
+        assert outcome(parse_rational, text) == expected
+        try:
+            num, den = parse_ratio(text)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert den > 0
+            assert Fraction(num, den) == expected == Fraction(text)
+
+    def test_not_reduced(self):
+        assert parse_ratio("0.40") == (40, 100)
+        assert parse_ratio("-2/4") == (-2, 4)
+        assert parse_ratio("15e-1") == (15, 10)
+        assert parse_ratio("1.5e2") == (1500, 10)
 
 
 class TestRendering:

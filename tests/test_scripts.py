@@ -70,3 +70,30 @@ def test_source_size_total_is_the_sum_of_the_files():
     assert len(files) >= 8 and total[2] == "total"
     assert int(total[0]) == sum(int(row[0]) for row in files)
     assert int(total[1]) == sum(int(row[1]) for row in files)
+
+
+def census_rows(*args: str) -> dict:
+    """Run the lattice census; its rows by D, each a dict of its columns."""
+    result = run_script("lattice_census.py", *args)
+    assert result.returncode == 0, result.stdout + result.stderr
+    header, *rows = [line.split() for line in result.stdout.splitlines()[:-1]]
+    return {row[0]: dict(zip(header[1:], map(int, row[1:]))) for row in rows}
+
+
+def test_lattice_census_one_denominator():
+    # Every ordered pair of distinct spectra over each D <= 16: the rule and
+    # the oracle agree on all 13,624, and 4 pairs are catalyzable.
+    rows = census_rows("16")
+    assert rows["total"]["pairs"] == 13_624
+    assert rows["total"]["disagreements"] == 0
+    catalyzable = [rows[str(d)]["catalyzable"] for d in range(1, 17)]
+    assert catalyzable == [0] * 13 + [1, 1, 2]
+    assert rows["12"]["pairs"] == 34 * 33  # 34 partitions of 12 into at most 4 parts
+
+
+def test_lattice_census_mixed_denominators():
+    rows = census_rows("10", "--mixed")
+    assert rows["total"]["pairs"] == 4_556
+    assert rows["total"]["disagreements"] == 0
+    catalyzable = [rows[str(d)]["catalyzable"] for d in range(1, 11)]
+    assert catalyzable == [0] * 7 + [1, 1, 4]

@@ -13,6 +13,8 @@ from qcatalyst import (
     is_majorized_by,
     make_catalyst,
     make_spectrum,
+    parse_rational,
+    render_decimal,
     two_qubit_catalyst,
 )
 
@@ -149,6 +151,77 @@ def reference_decompose(source, target):
         if violated:
             return condition
     return EpsilonTriple(eps1, eps2, eps3)
+
+
+def built_or_message(build, values):
+    """(type, scaled) of build(values), or the message of its ValueError."""
+    try:
+        value = build(values)
+    except ValueError as exc:
+        return str(exc)
+    return type(value), value.scaled
+
+
+@st.composite
+def component_texts(draw):
+    """1 to 5 rational strings over one denominator, written as "n/d", in
+    unreduced "kn/kd" form or as a terminating decimal; they sum to 1 unless
+    a component is moved off, and may be negative."""
+    d = draw(st.integers(1, 40))
+    parts = draw(st.lists(st.integers(-2, d), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        parts[-1] = d - sum(parts[:-1])
+    k = draw(st.integers(1, 3))
+    texts = []
+    for n in parts:
+        decimal, exact = render_decimal(Fraction(n, d))
+        texts.append(decimal if exact and draw(st.booleans()) else f"{k * n}/{k * d}")
+    return texts
+
+
+def fraction_spectrum(texts):
+    """make_spectrum's reference: each text to a Fraction, sorted, through
+    the checked public constructor."""
+    return Spectrum4(tuple(sorted(map(parse_rational, texts), reverse=True)))
+
+
+def fraction_catalyst(texts):
+    return CatalystSpectrum(tuple(sorted(map(parse_rational, texts), reverse=True)))
+
+
+class TestOnTheInts:
+    @given(component_texts())
+    def test_make_spectrum_matches_the_fraction_reference(self, texts):
+        expected = built_or_message(fraction_spectrum, texts)
+        assert built_or_message(make_spectrum, texts) == expected
+        assert built_or_message(make_spectrum, list(map(parse_rational, texts))) == expected
+
+    @given(component_texts())
+    def test_make_catalyst_matches_the_fraction_reference(self, texts):
+        expected = built_or_message(fraction_catalyst, texts)
+        assert built_or_message(make_catalyst, texts) == expected
+        assert built_or_message(make_catalyst, list(map(parse_rational, texts))) == expected
+
+    @pytest.mark.parametrize(
+        "build,texts,message",
+        [
+            (make_spectrum, ["1/2", "1/2"], "spectrum needs exactly 4 components, got 2"),
+            (make_spectrum, ["3/4", "1/2", "-1/4", "0"], "spectrum components must be nonnegative"),
+            (
+                make_spectrum, ["0.4", "0.4", "0.1", "0.2"],
+                "spectrum components must sum to 1, got 11/10",
+            ),
+            (make_catalyst, [], "catalyst needs at least one component"),
+            (make_catalyst, ["6/5", "-1/5"], "catalyst components must be nonnegative"),
+            (make_catalyst, ["0.60", "0.60"], "catalyst components must sum to 1, got 6/5"),
+        ],
+    )
+    def test_messages(self, build, texts, message):
+        assert built_or_message(build, texts) == message
+
+    def test_reduced_over_the_unreduced_texts(self):
+        assert make_spectrum(["0.40", "4/10", "2/20", "0.1"]).scaled == ((4, 4, 1, 1), 10)
+        assert make_catalyst(["2/4", "0.50"]).scaled == ((1, 1), 2)
 
 
 class TestOneStoredForm:
