@@ -94,14 +94,11 @@ class FeasibilityReport(_Frozen):
 
     @property
     def p_interval(self) -> tuple[Fraction, Fraction] | None:
-        """The feasible p-interval [1/(1+M), 1/(1+m)], within [1/2, 1).
-
-        r = (1-p)/p decreases in p, so the ends swap; kept here in one place
-        because that inversion is a perennial hazard.
-        """
+        """The feasible p-interval [1/(1+M), 1/(1+m)], within [1/2, 1)
+        (_p_ends)."""
         if (r := self.r_interval) is None:
             return None
-        return (1 / (1 + r[1]), 1 / (1 + r[0]))
+        return tuple(Fraction(*end) for end in _p_ends(*[b.as_integer_ratio() for b in r]))
 
 
 def _lower_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int] | None:
@@ -130,6 +127,23 @@ def _upper_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int]:
             "alpha2 - eps1 <= 0: implied target has a vanishing second coefficient"
         )
     return min([(a3 + e3, a2 - e1), (e3, e2)], key=ratio_key)
+
+
+def _bounds(
+    source: Spectrum4, target: Spectrum4, slacks: Sequence[int]
+) -> tuple[tuple[int, int] | None, tuple[int, int]]:
+    """(m, M) of a pair with valid slacks (_slacks), as _lower_bound and
+    _upper_bound give them: the source is put over the slacks' denominator."""
+    alpha = [a * target.scaled[1] for a in source.scaled[0]]
+    return _lower_bound(alpha, slacks), _upper_bound(alpha, slacks)
+
+
+def _p_ends(m: tuple[int, int], M: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The p-interval [1/(1+M), 1/(1+m)] of finite bounds in lowest terms:
+    p = d/(n+d) for r = n/d, in lowest terms too.  r = (1-p)/p decreases in
+    p, so the ends swap; kept in one place because that inversion is a
+    perennial hazard."""
+    return (M[1], M[0] + M[1]), (m[1], m[0] + m[1])
 
 
 def _bounds_form(alpha: Spectrum4, eps: EpsilonTriple) -> tuple[list[int], list[int]]:
@@ -176,18 +190,14 @@ def analyze(source: Spectrum4, target: Spectrum4) -> FeasibilityReport:
     exactly when it reports EPS2_NOT_POSITIVE and eps3 >= 0.  The bounds
     come from the same ints; the only Fractions built are m and M.
     """
-    slacks = _slacks(source, target)
+    slacks = _slacks(source, target)[0]
     violation = _star_violation(*slacks)
     if violation is StarViolation.EPS2_NOT_POSITIVE and slacks[2] >= 0:
         return FeasibilityReport()
     if violation is not None:
         return FeasibilityReport(star_violation=violation)
-    # Over den_s * den_t, the slacks' denominator.
-    alpha = [a * target.scaled[1] for a in source.scaled[0]]
-    m = _lower_bound(alpha, slacks)
-    return FeasibilityReport(
-        m=INFINITY if m is None else Fraction(*m), M=Fraction(*_upper_bound(alpha, slacks))
-    )
+    m, M = _bounds(source, target, slacks)
+    return FeasibilityReport(m=INFINITY if m is None else Fraction(*m), M=Fraction(*M))
 
 
 def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:

@@ -30,8 +30,8 @@ from math import gcd
 from .catalysis import (
     FeasibilityReport,
     Verdict,
-    _lower_bound,
-    _upper_bound,
+    _bounds,
+    _p_ends,
     analyze,
     is_valid_catalyst,
 )
@@ -79,9 +79,8 @@ def _ratio_field(num: int, den: int) -> dict:
 
 
 def _rational_field(value: ExtendedRational) -> dict:
-    if isinstance(value, Fraction):
-        return _ratio_field(*value.as_integer_ratio())
-    return {"exact": "inf", "decimal": "inf", "decimal_is_exact": True}  # INFINITY
+    decimal, exact = render_decimal(value)
+    return {"exact": render_rational(value), "decimal": decimal, "decimal_is_exact": exact}
 
 
 def _ratio_strings(nums, den: int) -> list[str]:
@@ -206,11 +205,9 @@ def _report_json(report: FeasibilityReport) -> dict:
     verdict, reason = report.verdict, None
     r_interval = p_interval = None
     if verdict is Verdict.CATALYZABLE:
-        (mn, md), (big_n, big_d) = report.m.as_integer_ratio(), report.M.as_integer_ratio()
-        r_interval = [_ratio_field(mn, md), _ratio_field(big_n, big_d)]
-        # p = 1/(1 + r) = d/(n + d) for r = n/d, already in lowest terms; r
-        # decreases in p, so the ends swap (FeasibilityReport.p_interval).
-        p_interval = [_ratio_field(big_d, big_n + big_d), _ratio_field(md, mn + md)]
+        bounds = report.m.as_integer_ratio(), report.M.as_integer_ratio()
+        r_interval = [_ratio_field(*end) for end in bounds]
+        p_interval = [_ratio_field(*end) for end in _p_ends(*bounds)]
     violation = report.star_violation
     if violation is not None:
         reason = {
@@ -291,17 +288,17 @@ def _cmd_construct(request: dict) -> dict:
     (alpha, den_s), (beta, den_t) = result.source.scaled, result.target.scaled
     # The bounds recomputed from the pair on the ints, as analyze does;
     # eps1 = mu a > 0, so m is finite.
-    slacks = _slacks(result.source, result.target)
-    alpha_t = [a * den_t for a in alpha]
+    slacks, slack_den = _slacks(result.source, result.target)
+    m, M = _bounds(result.source, result.target, slacks)
     return {
         "branch": result.branch.value,
         "mu": _rational_field(result.mu),
         "a": _ratio_field(beta[0], den_t),
         "source": _ratio_strings(alpha, den_s),
         "target": _ratio_strings(beta, den_t),
-        "epsilon": _ratio_strings(slacks, den_s * den_t),
-        "recomputed_m": _ratio_field(*_lower_bound(alpha_t, slacks)),
-        "recomputed_M": _ratio_field(*_upper_bound(alpha_t, slacks)),
+        "epsilon": _ratio_strings(slacks, slack_den),
+        "recomputed_m": _ratio_field(*m),
+        "recomputed_M": _ratio_field(*M),
     }
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .catalysis import _lower_bound, _upper_bound
+from .catalysis import _bounds
 from .rationals import ratio_key, value_text
 from .spectra import Spectrum4, _as_fraction, _Frozen, _slacks
 
@@ -149,16 +149,13 @@ def construct_states(
     except ValueError:  # the source is out of order or negative
         verified = False
     else:
-        # The slacks over den_s * den_t, then m and M from them as analyze
-        # computes them; eps1 = mu a > 0 once the slacks match, so m is finite.
-        slacks = _slacks(source, target)
-        (alpha, den_s), (_, den_t) = source.scaled, target.scaled
-        alpha = [x * den_t for x in alpha]
-        verified = (
-            all(e * den == x * den_s * den_t for e, x in zip(slacks, expected))
-            and ratio_key(_lower_bound(alpha, slacks)) == ratio_key((p, r))
-            and ratio_key(_upper_bound(alpha, slacks)) == ratio_key((P, Q))
-        )
+        # The slacks, then m and M from them as analyze computes them; the
+        # slacks that match are all positive, so m is finite.
+        slacks, slack_den = _slacks(source, target)
+        verified = all(e * den == x * slack_den for e, x in zip(slacks, expected))
+        if verified:
+            m, M = _bounds(source, target, slacks)
+            verified = ratio_key(m) == ratio_key((p, r)) and ratio_key(M) == ratio_key((P, Q))
     if not verified:
         raise ValueError(
             f"mu = {value_text(mu)} violates the construction invariants "

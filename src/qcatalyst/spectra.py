@@ -288,15 +288,15 @@ def two_qubit_catalyst(p: Fraction) -> CatalystSpectrum:
     return catalyst
 
 
-def _slacks(source: Spectrum4, target: Spectrum4) -> tuple[int, int, int]:
-    """(eps1, eps2, eps3) of source -> target on the integer forms, as
-    numerators over den_s * den_t, whatever their signs."""
+def _slacks(source: Spectrum4, target: Spectrum4) -> tuple[tuple[int, int, int], int]:
+    """((eps1, eps2, eps3), den) of source -> target on the integer forms:
+    the slacks as numerators over den = den_s * den_t, whatever their signs."""
     (s, den_s), (t, den_t) = source.scaled, target.scaled
     return (
         t[0] * den_s - s[0] * den_t,
         (s[0] + s[1]) * den_t - (t[0] + t[1]) * den_s,
         s[3] * den_t - t[3] * den_s,
-    )
+    ), den_s * den_t
 
 
 def _star_violation(eps1: int, eps2: int, eps3: int) -> StarViolation | None:
@@ -322,9 +322,8 @@ def epsilon_decompose(
     forms (_slacks); a Fraction is built only for each slack of a returned
     triple.
     """
-    slacks = _slacks(source, target)
+    slacks, den = _slacks(source, target)
     violation = _star_violation(*slacks)
     if violation is not None:
         return violation
-    den = source.scaled[1] * target.scaled[1]
     return EpsilonTriple(*[Fraction(eps, den) for eps in slacks])

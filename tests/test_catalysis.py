@@ -191,6 +191,30 @@ class TestAnalyze:
         ]
         assert borrowed == []
 
+    def test_each_integer_convention_has_one_owner(self):
+        # The bound kernels are named only in catalysis (callers go through
+        # catalysis._bounds), and only rationals writes the text "inf".
+        kernels = {"_lower_bound", "_upper_bound"}
+
+        def names(node) -> set:
+            if isinstance(node, ast.Name):
+                return {node.id}
+            if isinstance(node, ast.Attribute):
+                return {node.attr}
+            if isinstance(node, ast.alias):
+                return {node.name}
+            return {node.name} if isinstance(node, ast.FunctionDef) else set()
+
+        kernel_modules, inf_modules = set(), set()
+        for path in sorted(Path(qcatalyst.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if names(node) & kernels:
+                    kernel_modules.add(path.name)
+                if isinstance(node, ast.Constant) and node.value == "inf":
+                    inf_modules.add(path.name)
+        assert kernel_modules == {"catalysis.py"}
+        assert inf_modules == {"rationals.py"}
+
     def test_package_has_no_assert(self):
         # Invariants must hold under python -O and fail with a message, never
         # a traceback: no assert statement and no raised AssertionError.

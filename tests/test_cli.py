@@ -182,6 +182,18 @@ class TestAnalyze:
         assert doc["reason"] == {"kind": "empty_interval"}
         assert doc["p_interval"] is None
 
+    def test_infinite_lower_bound(self, capsys):
+        # eps1 = eps3 = 0: m is +infinity and M is 0, so the interval is empty.
+        argv = ["analyze", "--source", "1/2,1/4,1/8,1/8", "--target", "1/2,3/16,3/16,1/8"]
+        code, out, _ = run(capsys, argv)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["verdict"] == "infeasible"
+        assert doc["m"] == {"exact": "inf", "decimal": "inf", "decimal_is_exact": True}
+        assert doc["M"] == {"exact": "0/1", "decimal": "0", "decimal_is_exact": True}
+        assert doc["r_interval"] is None and doc["p_interval"] is None
+        assert doc["reason"] == {"kind": "empty_interval"}
+
     def test_locc_possible(self, capsys):
         code, out, _ = run(
             capsys,
@@ -697,6 +709,26 @@ class TestStdinDocument:
         assert "Exceeds the limit" not in err
         if argv == ["construct"]:
             assert err.endswith("has a number over 4300 digits\n")
+
+    @pytest.mark.parametrize(
+        "argv,stdin,message",
+        [
+            (["analyze"], "[1]", "request document must be a JSON object\n"),
+            (["analyze"], "{}", "request document needs 'source' and 'target'\n"),
+            (
+                ["analyze"],
+                '{"source": "0.4", "target": ["1", "0", "0", "0"]}',
+                "source must be an array of rational strings\n",
+            ),
+            (["construct"], '{"m0": "1/2"}', "request document needs 'm0' and 'M0'\n"),
+            (["analyze"], "{", "invalid JSON request document: "),
+        ],
+        ids=["not-an-object", "no-pair", "source-not-an-array", "no-M0", "invalid-json"],
+    )
+    def test_document_error_message(self, capsys, monkeypatch, argv, stdin, message):
+        code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message) and "Traceback" not in err
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_document_integer_at_the_digit_limit_stays_an_int(self, capsys, monkeypatch, sign):

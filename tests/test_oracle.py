@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import qcatalyst.cli as cli
 from qcatalyst import (
+    FeasibilityReport,
     Verdict,
     analyze,
     augment,
@@ -171,6 +172,12 @@ class TestOnTheIntegers:
         argv = ["analyze", "--source", "0.4,0.4,0.1,0.1", "--target", "0.5,0.25,0.25,0"]
         analyze.cache_clear()
         assert fractions_built(cli_quietly, argv) == 2
+
+    def test_p_interval_builds_only_its_ends(self):
+        # The ends come from the bounds' int pairs (4 when they were 1/(1+r)).
+        report = analyze(CAT_SOURCE, CAT_TARGET)
+        assert fractions_built(FeasibilityReport.p_interval.fget, report) == 2
+        assert report.p_interval == (F(3, 5), F(5, 8))
 
     def test_locc_verdict_builds_no_fraction(self):
         source = make_spectrum([F(1, 2), F(1, 4), F(1, 4), F(0)])
