@@ -101,17 +101,17 @@ class FeasibilityReport(_Frozen):
         return tuple(Fraction(*end) for end in _p_ends(*[b.as_integer_ratio() for b in r]))
 
 
-def _lower_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int] | None:
-    """m as (numerator, denominator > 0), None for +infinity, from the
-    source and the slacks as ints over one denominator, which cancels.
+def _lower_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int]:
+    """m as (numerator, denominator), from the source and the slacks as ints
+    over one denominator, which cancels.  +infinity is the term eps2/eps1
+    itself, (eps2, 0) when eps1 = 0.
 
-    Every denominator below is positive for a canonical source and slacks
-    of valid signs, so ratio_key orders the terms.
+    Every other denominator below is positive for a canonical source and
+    slacks of valid signs (eps2 > 0), so ratio_key orders the terms and puts
+    (eps2, 0) above every finite one.
     """
     a1, a2, a3, a4 = alpha
     e1, e2, e3 = eps
-    if e1 == 0:
-        return None
     terms = [(a2 - e1, a1 + e1), (e2, e1)]
     if a3 + e3:
         terms.append((a4 - e3, a3 + e3))
@@ -130,11 +130,12 @@ def _upper_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int]:
 
 
 def _bounds(
-    source: Spectrum4, target: Spectrum4, slacks: Sequence[int]
-) -> tuple[tuple[int, int] | None, tuple[int, int]]:
-    """(m, M) of a pair with valid slacks (_slacks), as _lower_bound and
-    _upper_bound give them: the source is put over the slacks' denominator."""
-    alpha = [a * target.scaled[1] for a in source.scaled[0]]
+    source: Spectrum4, slacks: Sequence[int], den: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(m, M) of a source and its valid slacks over den, as _lower_bound and
+    _upper_bound give them: the source is put over den, which must be a
+    multiple of the source's denominator, as _slacks's den_s * den_t is."""
+    alpha = [a * den // source.scaled[1] for a in source.scaled[0]]
     return _lower_bound(alpha, slacks), _upper_bound(alpha, slacks)
 
 
@@ -167,7 +168,7 @@ def compute_m(alpha: Spectrum4, eps: EpsilonTriple) -> ExtendedRational:
     Computed on the ints (_lower_bound), with one Fraction for the result.
     """
     m = _lower_bound(*_bounds_form(alpha, eps))
-    return INFINITY if m is None else Fraction(*m)
+    return Fraction(*m) if m[1] else INFINITY
 
 
 def compute_M(alpha: Spectrum4, eps: EpsilonTriple) -> Fraction:
@@ -190,14 +191,14 @@ def analyze(source: Spectrum4, target: Spectrum4) -> FeasibilityReport:
     exactly when it reports EPS2_NOT_POSITIVE and eps3 >= 0.  The bounds
     come from the same ints; the only Fractions built are m and M.
     """
-    slacks = _slacks(source, target)[0]
+    slacks, den = _slacks(source, target)
     violation = _star_violation(*slacks)
     if violation is StarViolation.EPS2_NOT_POSITIVE and slacks[2] >= 0:
         return FeasibilityReport()
     if violation is not None:
         return FeasibilityReport(star_violation=violation)
-    m, M = _bounds(source, target, slacks)
-    return FeasibilityReport(m=INFINITY if m is None else Fraction(*m), M=Fraction(*M))
+    m, M = _bounds(source, slacks, den)
+    return FeasibilityReport(m=Fraction(*m) if m[1] else INFINITY, M=Fraction(*M))
 
 
 def is_valid_catalyst(source: Spectrum4, target: Spectrum4, p) -> bool:

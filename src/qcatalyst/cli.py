@@ -28,7 +28,6 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .catalysis import (
-    FeasibilityReport,
     Verdict,
     _bounds,
     _p_ends,
@@ -149,8 +148,9 @@ def _load_document() -> dict:
     try:
         # Numbers keep their literal text, so parse_rational reads them
         # exactly instead of through a binary float; so do integers past
-        # int()'s digit limit, so that the CLI names what is wrong with them.
-        document = json.load(sys.stdin, parse_float=str, parse_int=_json_int)
+        # int()'s digit limit and the constants NaN, Infinity and -Infinity,
+        # so that the CLI names what is wrong with them as written.
+        document = json.load(sys.stdin, parse_float=str, parse_int=_json_int, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON request document: {exc}") from None
     except RecursionError:
@@ -200,8 +200,9 @@ def _cmd_check_locc(request: dict) -> dict:
     }
 
 
-def _report_json(report: FeasibilityReport) -> dict:
+def _cmd_analyze(request: dict) -> dict:
     """The analyze report, rendered from the bounds' int pairs."""
+    report = analyze(*_spectrum_pair(request))
     verdict, reason = report.verdict, None
     r_interval = p_interval = None
     if verdict is Verdict.CATALYZABLE:
@@ -225,11 +226,6 @@ def _report_json(report: FeasibilityReport) -> dict:
         "p_interval": p_interval,
         "reason": reason,
     }
-
-
-def _cmd_analyze(request: dict) -> dict:
-    source, target = _spectrum_pair(request)
-    return _report_json(analyze(source, target))
 
 
 def _catalyst(request: dict) -> CatalystSpectrum:
@@ -289,7 +285,7 @@ def _cmd_construct(request: dict) -> dict:
     # The bounds recomputed from the pair on the ints, as analyze does;
     # eps1 = mu a > 0, so m is finite.
     slacks, slack_den = _slacks(result.source, result.target)
-    m, M = _bounds(result.source, result.target, slacks)
+    m, M = _bounds(result.source, slacks, slack_den)
     return {
         "branch": result.branch.value,
         "mu": _rational_field(result.mu),

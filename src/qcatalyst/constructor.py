@@ -154,7 +154,7 @@ def construct_states(
         slacks, slack_den = _slacks(source, target)
         verified = all(e * den == x * slack_den for e, x in zip(slacks, expected))
         if verified:
-            m, M = _bounds(source, target, slacks)
+            m, M = _bounds(source, slacks, slack_den)
             verified = ratio_key(m) == ratio_key((p, r)) and ratio_key(M) == ratio_key((P, Q))
     if not verified:
         raise ValueError(

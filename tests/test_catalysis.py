@@ -30,6 +30,9 @@ from qcatalyst import (
     augment,
     two_qubit_catalyst,
 )
+from qcatalyst.catalysis import _bounds, _lower_bound
+from qcatalyst.rationals import ratio_key
+from qcatalyst.spectra import _slacks
 
 from support import catalyst_params, child_env, spectra, star_pairs
 
@@ -108,6 +111,54 @@ class TestComputeBounds:
             )
         else:
             assert compute_M(alpha, eps) == expected
+
+
+# eps1 = eps3 = 0: the slacks are (0, 8, 0) over 128, m is +infinity and M is 0.
+ZERO_EPS1_PAIR = (
+    make_spectrum(["1/2", "1/4", "1/8", "1/8"]),
+    make_spectrum(["1/2", "3/16", "3/16", "1/8"]),
+)
+
+
+class TestBoundPairs:
+    """The kernels' bounds are plain (numerator, denominator) int pairs."""
+
+    def test_zero_eps1_pair(self):
+        source, target = ZERO_EPS1_PAIR
+        assert _slacks(source, target) == ((0, 8, 0), 128)
+        m, M = _bounds(source, (0, 8, 0), 128)
+        assert m == (8, 0)
+        assert M[1] > 0 and Fraction(*M) == 0
+
+    @given(star_pairs())
+    @example(ZERO_EPS1_PAIR)
+    def test_lower_bound_is_eps2_over_eps1_at_infinity(self, pair):
+        # +infinity is the term eps2/eps1 itself, (eps2, 0); every finite m
+        # has a positive denominator.  Both are the Fraction formula's m.
+        source, target = pair
+        slacks, den = _slacks(source, target)
+        alpha = [a * den // source.scaled[1] for a in source.scaled[0]]
+        m = _lower_bound(alpha, slacks)
+        if slacks[0] == 0:
+            assert m == (slacks[1], 0)
+        else:
+            assert m[1] > 0
+        expected = reference_m(source, epsilon_decompose(source, target))
+        assert (Fraction(*m) if m[1] else INFINITY) == expected
+
+    @given(star_pairs())
+    @example(ZERO_EPS1_PAIR)
+    def test_bounds_take_any_multiple_of_the_slack_denominator(self, pair):
+        # _bounds reads the denominator it is given, not den_s * den_t: the
+        # slacks over k times theirs give the same bounds under ratio_key.
+        source, target = pair
+        slacks, den = _slacks(source, target)
+        eps = epsilon_decompose(source, target)
+        m, M = reference_m(source, eps), reference_M(source, eps)
+        expected = [(1, 0) if m == INFINITY else m.as_integer_ratio(), M.as_integer_ratio()]
+        for k in (1, 2, 7):
+            bounds = _bounds(source, [k * e for e in slacks], k * den)
+            assert [ratio_key(b) for b in bounds] == [ratio_key(b) for b in expected]
 
 
 def reference_m(alpha, eps):

@@ -730,6 +730,33 @@ class TestStdinDocument:
         assert (code, out) == (1, "")
         assert err.startswith("error: " + message) and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,stdin,message",
+        [
+            (
+                ["analyze"],
+                '{"source": [NaN, 0, 0, 0], "target": ["1", "0", "0", "0"]}',
+                "source: malformed rational 'NaN'",
+            ),
+            (
+                ["sweep"],
+                "{" + PAIR + ', "grid_denominator": Infinity}',
+                "grid denominator must be a positive integer up to 100000, got 'Infinity'",
+            ),
+            (
+                ["construct"],
+                '{"m0": -Infinity, "M0": "1/2"}',
+                "m0: malformed rational '-Infinity'",
+            ),
+        ],
+        ids=["analyze-nan", "sweep-infinity", "construct-minus-infinity"],
+    )
+    def test_json_constant_read_as_text(self, capsys, monkeypatch, argv, stdin, message):
+        # json reads NaN and +-Infinity as binary floats unless told not to;
+        # they must stay text, and the message quotes them as written.
+        code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_document_integer_at_the_digit_limit_stays_an_int(self, capsys, monkeypatch, sign):
         stdin = "{" + self.PAIR + ', "grid_denominator": ' + sign + "9" * 4300 + "}"

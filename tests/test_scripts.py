@@ -2,6 +2,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from support import ROOT, child_env
 
 
@@ -27,17 +29,29 @@ def test_agreement_experiment():
     assert "disagreements: 0" in result.stdout
 
 
-# The hash of the CLI's answers to these 64 calls.  A change that moves it
-# changed some byte of stdout or stderr, or an exit code.
+# The hash of the CLI's answers to these 64 calls, and to the 3,060 calls of
+# the script's default run (seeds 1-3, 1,000 requests and 20 sweep calls
+# each).  A change that moves one changed some byte of stdout or stderr, or
+# an exit code.
 FINGERPRINT_64 = "cd6c524bab97f7a617f44374ee9b158f06d4a1b82eb0fab74e457ee324d3a98a"
+FINGERPRINT_3060 = "4353545c5e8d6ca4a8f213d18995f6b7e90cc0b6e400e17c2de1907683ebfec8"
 
 
-def test_cli_fingerprint():
-    result = run_script(
-        "cli_fingerprint.py", "--requests", "30", "--sweep-calls", "2", "--seeds", "1", "2"
-    )
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            ["--requests", "30", "--sweep-calls", "2", "--seeds", "1", "2"],
+            ["calls: 64", f"sha256: {FINGERPRINT_64}"],
+        ),
+        ([], ["calls: 3060", f"sha256: {FINGERPRINT_3060}"]),
+    ],
+    ids=["64-calls", "default"],
+)
+def test_cli_fingerprint(args, expected):
+    result = run_script("cli_fingerprint.py", *args)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["calls: 64", f"sha256: {FINGERPRINT_64}"]
+    assert result.stdout.splitlines() == expected
 
 
 def test_source_size_counts_one_module(tmp_path):
