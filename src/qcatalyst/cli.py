@@ -23,7 +23,7 @@ import os
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, cycle
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -36,8 +36,16 @@ from .catalysis import (
 )
 from .constructor import construct_states
 from .majorization import first_violated_index, lorenz_points
-from .oracle import feasible_p_set, grid_points, oracle_valid_catalyst, p_set_verdicts
+from .oracle import (
+    _DENOMINATOR_RULE,
+    _grid_layout,
+    feasible_p_set,
+    oracle_valid_catalyst,
+    p_set_verdicts,
+)
 from .rationals import (
+    _DECIMAL_DIGITS,
+    _DECIMAL_SCALE,
     ExtendedRational,
     decimal_text,
     parse_rational,
@@ -110,9 +118,15 @@ def _json_text(value, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
+def _document_text(value) -> str:
+    """A document value that is not a string as text: JSON's literals as
+    the document wrote them, anything else as str() writes it."""
+    return _json_text(value) if value is None or type(value) is bool else str(value)
+
+
 def _rational(value, label: str) -> Fraction:
     try:
-        return parse_rational(str(value))
+        return parse_rational(value if type(value) is str else _document_text(value))
     except ValueError as exc:
         raise InputError(f"{label}: {exc}") from None
 
@@ -124,7 +138,7 @@ def _array(values, label: str) -> list:
 
 
 def _spectrum(values, label: str) -> Spectrum4:
-    texts = [str(v) for v in _array(values, label)]
+    texts = [v if type(v) is str else _document_text(v) for v in _array(values, label)]
     try:
         return make_spectrum(texts)
     except ValueError as exc:
@@ -264,15 +278,38 @@ def _cmd_validate(request: dict) -> dict:
 
 
 def _cmd_sweep(request: dict) -> list[str]:
+    """oracle.sweep over sweep_grid, rendered, on the ints: no Fraction and
+    no function call per row."""
     source, target = _spectrum_pair(request)
-    report = analyze(source, target)
-    # oracle.sweep over sweep_grid, rendered, on the ints: no Fraction per row.
-    grid = grid_points(request.get("grid_denominator", 1000), report.p_interval)
-    verdicts = p_set_verdicts(feasible_p_set(source, target), grid)
-    return ["p,p_decimal,valid"] + [
-        f"{ratio_text(n, q)},{decimal_text(n, q)[0]},{1 if valid else 0}"
-        for (n, q), valid in zip(grid, verdicts)
-    ]
+    interval = analyze(source, target).r_interval
+    d = request.get("grid_denominator", 1000)
+    if d is None or type(d) is bool:
+        raise InputError(f"{_DENOMINATOR_RULE}, got {_document_text(d)}")
+    ends = _p_ends(*[b.as_integer_ratio() for b in interval]) if interval else ()
+    first, extras = _grid_layout(d, ends)
+    pieces = feasible_p_set(source, target)
+    # A piece [lo, hi] holds the lattice rows k/d from ceil(lo d) to
+    # floor(hi d), so the verdict flips only at those edges (and 1/1 is
+    # written below).
+    edges = [first]
+    for lo, hi in pieces:
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        edges += [-(-ln * d // ld), min(hn * d // hd + 1, d)]
+    rows = ["p,p_decimal,valid"]
+    for start, stop, valid in zip(edges, [*edges[1:], d], cycle("01")):
+        # decimal_text(k, d) of 0 < k < d: the trailing zeros of a
+        # terminating expansion are dropped, those of a truncation kept.
+        rows += [
+            f"{k // g}/{d // g},0.{digits if r else digits.rstrip('0')},{valid}"
+            for k in range(start, stop)
+            for g, (s, r) in [(gcd(k, d), divmod(k * _DECIMAL_SCALE, d))]
+            for digits in [str(s).zfill(_DECIMAL_DIGITS)]
+        ]
+    # The row 1/1 and the points off the lattice, from the largest down.
+    others = [(d - first, 1, 1), *extras]
+    for (index, a, b), valid in zip(others, p_set_verdicts(pieces, [x[1:] for x in others])):
+        rows.insert(index + 1, f"{ratio_text(a, b)},{decimal_text(a, b)[0]},{1 if valid else 0}")
+    return rows
 
 
 def _cmd_construct(request: dict) -> dict:

@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 import types
@@ -244,8 +245,21 @@ class TestAnalyze:
 
     def test_each_integer_convention_has_one_owner(self):
         # The bound kernels are named only in catalysis (callers go through
-        # catalysis._bounds), and only rationals writes the text "inf".
+        # catalysis._bounds), only rationals writes the text "inf", and only
+        # rationals states the 12-digit decimal width: the int 12, 10**12,
+        # or a width of 12 in a %-format or a format spec.
         kernels = {"_lower_bound", "_upper_bound"}
+        width = r"(?<!\d)0?12(?!\d)"
+        width_format = re.compile(r"%[-+ #0]*12(?!\d)|\{[^{}]*:[^{}]*" + width + r"[^{}]*\}")
+
+        def states_width(node) -> bool:
+            if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+                return re.search(width, ast.unparse(node.format_spec)) is not None
+            if not isinstance(node, ast.Constant):
+                return False
+            if type(node.value) is int:
+                return node.value in (12, 10**12)
+            return isinstance(node.value, str) and width_format.search(node.value) is not None
 
         def names(node) -> set:
             if isinstance(node, ast.Name):
@@ -256,15 +270,18 @@ class TestAnalyze:
                 return {node.name}
             return {node.name} if isinstance(node, ast.FunctionDef) else set()
 
-        kernel_modules, inf_modules = set(), set()
+        kernel_modules, inf_modules, width_modules = set(), set(), set()
         for path in sorted(Path(qcatalyst.__file__).parent.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if names(node) & kernels:
                     kernel_modules.add(path.name)
                 if isinstance(node, ast.Constant) and node.value == "inf":
                     inf_modules.add(path.name)
+                if states_width(node):
+                    width_modules.add(path.name)
         assert kernel_modules == {"catalysis.py"}
         assert inf_modules == {"rationals.py"}
+        assert width_modules == {"rationals.py"}
 
     def test_package_has_no_assert(self):
         # Invariants must hold under python -O and fail with a message, never

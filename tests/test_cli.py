@@ -502,6 +502,40 @@ class TestSweepRows:
         assert sum(line.endswith(",1") for line in lines) == 2_501  # 3/5 to 5/8
         assert out == reference_sweep_csv(source, target, MAX_GRID_DENOMINATOR)
 
+    EDGE_PAIRS = {
+        "catalyzable": (["0.4", "0.4", "0.1", "0.1"], ["0.5", "0.25", "0.25", "0"]),
+        "locc-possible": (["0.4", "0.3", "0.2", "0.1"], ["0.7", "0.2", "0.1", "0"]),
+        "infeasible": (["0.45", "0.45", "0.05", "0.05"], ["0.5", "0.35", "0.15", "0"]),
+    }
+
+    @pytest.mark.parametrize("pair", EDGE_PAIRS.values(), ids=EDGE_PAIRS.keys())
+    @pytest.mark.parametrize(
+        "denominator",
+        [
+            # The benchmark's denominators.
+            1000, 1250, 1500, 1750, 2000,
+            # Expansions longer than 12 digits, written truncated.
+            8192, 65536,
+            # 1/2 off the lattice.
+            1, 3,
+        ],
+    )
+    def test_kernel_edges(self, pair, denominator):
+        source, target = (make_spectrum(values) for values in pair)
+        out = stdout_of(sweep_argv(source, target, denominator))
+        assert out == reference_sweep_csv(source, target, denominator)
+
+    @pytest.mark.parametrize("denominator", [8, 40])
+    def test_piece_ends_on_the_lattice(self, denominator):
+        # The worked pair's piece is [3/5, 5/8]: both ends are lattice points
+        # at d = 40 (24/40 and 25/40), the upper one at d = 8.
+        source = make_spectrum(["0.4", "0.4", "0.1", "0.1"])
+        target = make_spectrum(["0.5", "0.25", "0.25", "0"])
+        out = stdout_of(sweep_argv(source, target, denominator))
+        assert out == reference_sweep_csv(source, target, denominator)
+        valid = [row.split(",")[0] for row in out.splitlines() if row.endswith(",1")]
+        assert valid == ["3/5", "5/8"]
+
     def test_no_fraction_per_row(self):
         def fractions_built(denominator: int) -> int:
             profile = cProfile.Profile()
@@ -748,12 +782,38 @@ class TestStdinDocument:
                 '{"m0": -Infinity, "M0": "1/2"}',
                 "m0: malformed rational '-Infinity'",
             ),
+            (
+                ["analyze"],
+                '{"source": [true, null, 0, 0], "target": ["1", "0", "0", "0"]}',
+                "source: malformed rational 'true'",
+            ),
+            (["construct"], '{"m0": null, "M0": "1/2"}', "m0: malformed rational 'null'"),
+            (
+                ["validate"],
+                "{" + PAIR + ', "catalyst": [false, "1"]}',
+                "catalyst: malformed rational 'false'",
+            ),
+            (
+                ["sweep"],
+                "{" + PAIR + ', "grid_denominator": null}',
+                "grid denominator must be a positive integer up to 100000, got null",
+            ),
+            (
+                ["sweep"],
+                "{" + PAIR + ', "grid_denominator": true}',
+                "grid denominator must be a positive integer up to 100000, got true",
+            ),
         ],
-        ids=["analyze-nan", "sweep-infinity", "construct-minus-infinity"],
+        ids=[
+            "analyze-nan", "sweep-infinity", "construct-minus-infinity",
+            "analyze-true", "construct-null", "validate-false", "sweep-null", "sweep-true",
+        ],
     )
     def test_json_constant_read_as_text(self, capsys, monkeypatch, argv, stdin, message):
         # json reads NaN and +-Infinity as binary floats unless told not to;
-        # they must stay text, and the message quotes them as written.
+        # they must stay text, and the message quotes them as written.  The
+        # literals true, false and null are quoted as written too, not as
+        # Python writes True, False and None.
         code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 

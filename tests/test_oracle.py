@@ -173,6 +173,14 @@ class TestOnTheIntegers:
         analyze.cache_clear()
         assert fractions_built(cli_quietly, argv) == 2
 
+    def test_uncached_sweep_request_builds_no_fraction_for_the_grid(self):
+        # analyze's m and M (2) and the 15 of feasible_p_set; the interval
+        # ends reach the grid as _p_ends's int pairs (19 when they came as
+        # the two Fractions of p_interval).
+        argv = ["sweep", "--source", "0.4,0.4,0.1,0.1", "--target", "0.5,0.25,0.25,0"]
+        analyze.cache_clear()
+        assert fractions_built(cli_quietly, [*argv, "--denominator", "20"]) == 17
+
     def test_p_interval_builds_only_its_ends(self):
         # The ends come from the bounds' int pairs (4 when they were 1/(1+r)).
         report = analyze(CAT_SOURCE, CAT_TARGET)
