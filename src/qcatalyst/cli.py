@@ -35,11 +35,11 @@ from .catalysis import (
     is_valid_catalyst,
 )
 from .constructor import construct_states
-from .majorization import first_violated_index, lorenz_points
+from .majorization import first_violated_index
 from .oracle import (
     _DENOMINATOR_RULE,
     _grid_layout,
-    feasible_p_set,
+    _p_set,
     oracle_valid_catalyst,
     p_set_verdicts,
 )
@@ -287,13 +287,12 @@ def _cmd_sweep(request: dict) -> list[str]:
         raise InputError(f"{_DENOMINATOR_RULE}, got {_document_text(d)}")
     ends = _p_ends(*[b.as_integer_ratio() for b in interval]) if interval else ()
     first, extras = _grid_layout(d, ends)
-    pieces = feasible_p_set(source, target)
+    pieces = _p_set(source, target)
     # A piece [lo, hi] holds the lattice rows k/d from ceil(lo d) to
     # floor(hi d), so the verdict flips only at those edges (and 1/1 is
     # written below).
     edges = [first]
-    for lo, hi in pieces:
-        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    for (ln, ld), (hn, hd) in pieces:
         edges += [-(-ln * d // ld), min(hn * d // hd + 1, d)]
     rows = ["p,p_decimal,valid"]
     for start, stop, valid in zip(edges, [*edges[1:], d], cycle("01")):
@@ -345,11 +344,12 @@ def _cmd_lorenz(request: dict) -> list[str]:
         if index:
             lines.append("")
         lines.append("k_over_n,lambda,lambda_decimal")
-        lines.extend(
-            f"{render_rational(k_over_n)},{render_rational(cumulative)},"
-            f"{render_decimal(cumulative)[0]}"
-            for k_over_n, cumulative in lorenz_points(spectrum)
-        )
+        # The vertices (k/n, k-th partial sum) from the origin, as
+        # majorization.lorenz_points gives them, on the ints.
+        nums, den = spectrum.scaled
+        sums = [0, *accumulate(nums)]
+        rows = zip(_ratio_strings(range(len(sums)), len(nums)), _ratio_strings(sums, den), sums)
+        lines += [f"{k},{s},{decimal_text(n, den)[0]}" for k, s, n in rows]
     return lines
 
 

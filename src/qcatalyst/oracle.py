@@ -15,12 +15,15 @@ breakpoints the order is fixed, so every sorted partial sum, and every
 target-minus-source difference of them, is linear in p.  Evaluating the
 differences at the breakpoints and solving the linear inequalities on each
 cell gives the feasible set without trusting any formula for m or M.
+Every breakpoint, gap and root is an int or an int pair (numerator,
+denominator); feasible_p_set makes a Fraction only of each end it returns.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 from .majorization import is_majorized_by
 from .rationals import HALF, ratio_key, value_text
@@ -34,6 +37,8 @@ from .spectra import (
 
 # Sorted disjoint closed intervals (lo, hi) of p; lo == hi for a lone point.
 PSet = tuple[tuple[Fraction, Fraction], ...]
+# A rational n/d as the int pair (n, d), d > 0.
+Ratio = tuple[int, int]
 
 # Largest grid denominator sweep_grid accepts.  The grid holds d/2 points; a
 # CLI sweep at d = 100,000 takes 0.19-0.28 s as a process (CPython 3.11.7,
@@ -64,75 +69,75 @@ def oracle_valid_catalyst(
     return is_majorized_by(augment(source, catalyst), augment(target, catalyst))
 
 
-def _crossings(state: Spectrum4) -> set[Fraction]:
-    """The p in (1/2, 1) where a product x*p meets a product y*(1-p)."""
-    nums = state.scaled[0]
-    return {Fraction(y, x + y) for x in nums for y in nums if 0 < x < y}
-
-
-def _sum_gaps(source: Spectrum4, target: Spectrum4, p: Fraction) -> list[int]:
+def _sum_gaps(source: Spectrum4, target: Spectrum4, p: Ratio) -> list[int]:
     """Target minus source partial sums of the spectra augmented by (p, 1-p),
-    as numerators over den_s * den_t * p.denominator; the oracle accepts p
-    exactly when none is negative."""
+    for p = n/q as the int pair (n, q), as numerators over den_s * den_t * q;
+    the oracle accepts p exactly when none is negative."""
     (alpha, den_s), (beta, den_t) = source.scaled, target.scaled
-    kappa = (p.numerator, p.denominator - p.numerator)
+    kappa = (p[0], p[1] - p[0])
     pairs = zip(_products(alpha, kappa), _products(beta, kappa))
     return list(accumulate([t * den_s - s * den_t for s, t in pairs]))
 
 
-def _cell_part(
-    a: Fraction, b: Fraction, gaps_a: list[int], gaps_b: list[int]
-) -> tuple[Fraction, Fraction] | None:
-    """The closed part of the cell [a, b] where every gap, linear on it and
-    valued gaps_a at a and gaps_b at b (_sum_gaps numerators), is
-    nonnegative; None if empty."""
-    lo, hi = a, b
-    da, db = a.denominator, b.denominator
-    for x, y in zip(gaps_a, gaps_b):
-        if x < 0 and y < 0:
-            return None
-        if (x < 0) != (y < 0):
-            # The gap g(p), g(a) = x/da and g(b) = y/db over one common
-            # factor, crosses zero at a + (b - a) g(a) / (g(a) - g(b)).
-            root = a + (b - a) * Fraction(x * db, x * db - y * da)
-            if x < 0:
-                lo = max(lo, root)
-            else:
-                hi = min(hi, root)
-    return (lo, hi) if lo <= hi else None
+def _p_set(source: Spectrum4, target: Spectrum4) -> tuple[tuple[Ratio, Ratio], ...]:
+    """feasible_p_set on the ints: each piece as ((ln, ld), (hn, hd)), every
+    denominator positive; an end that is a root need not be in lowest terms.
+
+    The breakpoints are 1/2, 1 and the crossings y/(x+y) of each spectrum,
+    reduced.  Each partial-sum gap is linear between consecutive breakpoints
+    a and b, so on that cell its sign follows from its values at the two
+    ends, _sum_gaps numerators over one factor times a's and b's
+    denominators.
+    """
+    points = {(1, 2), (1, 1)}
+    for nums in (source.scaled[0], target.scaled[0]):
+        points.update((y // g, (x + y) // g) for x in nums for y in nums if 0 < x < y
+                      for g in [gcd(x, y)])
+    points = sorted(points, key=ratio_key)
+    gaps = [_sum_gaps(source, target, p) for p in points]
+    pieces: list[tuple[Ratio, Ratio]] = []
+    for (an, ad), (bn, bd), gaps_a, gaps_b in zip(points, points[1:], gaps, gaps[1:]):
+        lo, hi = (an, ad), (bn, bd)
+        for x, y in zip(gaps_a, gaps_b):
+            if x < 0 and y < 0:
+                break
+            if (x < 0) != (y < 0):
+                # The gap, x/ad at a and y/bd at b over one factor, is zero at
+                # a + (b - a) x bd / (x bd - y ad) = (bn x - an y) / (x bd - y ad),
+                # whose denominator has the sign of x.  A tie keeps the cell's end.
+                num, den = bn * x - an * y, x * bd - y * ad
+                if x < 0:
+                    lo = max(lo, (-num, -den), key=ratio_key)
+                else:
+                    hi = min(hi, (num, den), key=ratio_key)
+        else:
+            # A part that meets the last piece (in value; the pairs may
+            # differ) joins it.  It starts at a, and no root is below a, so
+            # it is not empty.
+            if pieces and ratio_key(pieces[-1][1]) == ratio_key(lo):
+                pieces[-1] = (pieces[-1][0], hi)
+            elif ratio_key(lo) <= ratio_key(hi):
+                pieces.append((lo, hi))
+    return tuple(pieces)
 
 
 def feasible_p_set(source: Spectrum4, target: Spectrum4) -> PSet:
     """Every p in [1/2, 1] at which oracle_valid_catalyst accepts (p, 1-p).
 
     Returns sorted, disjoint closed intervals (lo, hi), with lo == hi for an
-    isolated point, and () when no two-qubit catalyst helps.  Exact: each
-    partial-sum gap is linear between consecutive crossings (see the module
-    docstring), so on each cell its sign follows from its values at the
-    cell's two ends.  Those values are ints from _products, the kernel
-    augment uses; a Fraction is built only for a crossing or a root.
+    isolated point, and () when no two-qubit catalyst helps.  Exact: it is
+    _p_set's pieces, found on the ints (see the module docstring), with a
+    Fraction built for each end it returns and for nothing else.
     """
-    points = sorted(_crossings(source) | _crossings(target) | {HALF, Fraction(1)})
-    gaps = [_sum_gaps(source, target, p) for p in points]
-    pieces: list[tuple[Fraction, Fraction]] = []
-    for cell in zip(points, points[1:], gaps, gaps[1:]):
-        part = _cell_part(*cell)
-        if part is None:
-            continue
-        if pieces and pieces[-1][1] == part[0]:
-            pieces[-1] = (pieces[-1][0], part[1])
-        else:
-            pieces.append(part)
-    return tuple(pieces)
+    return tuple((Fraction(*lo), Fraction(*hi)) for lo, hi in _p_set(source, target))
 
 
-def p_set_verdicts(pieces: PSet, points: Iterable[tuple[int, int]]) -> list[bool]:
+def p_set_verdicts(pieces: Sequence[tuple[Ratio, Ratio]], points: Iterable[Ratio]) -> list[bool]:
     """Whether each p = n/q of points, given as int pairs with q > 0, lies
-    in pieces (a feasible_p_set result); exact, on the ints."""
-    bounds = [(*lo.as_integer_ratio(), *hi.as_integer_ratio()) for lo, hi in pieces]
+    in pieces (a _p_set result); exact, on the ints."""
     verdicts = []
     for n, q in points:
-        for ln, ld, hn, hd in bounds:
+        for (ln, ld), (hn, hd) in pieces:
             # lo <= n/q <= hi; every denominator is positive.
             if ln * q <= n * ld and n * hd <= hn * q:
                 verdicts.append(True)
@@ -147,13 +152,13 @@ def sweep(
 ) -> list[tuple[Fraction, bool]]:
     """Oracle verdicts for the two-qubit catalyst (p, 1-p) at each grid p.
 
-    Each verdict is membership in feasible_p_set(source, target), computed
+    Each verdict is membership in the feasible set (_p_set), computed
     once per call, so it equals oracle_valid_catalyst at that p.  Results
     come back in grid order, each with p as given; the grid may be in any
     order.  Raises ValueError for a grid value outside [1/2, 1].
     """
     points = [_two_qubit_parameter(p) for p in grid]  # raises outside [1/2, 1]
-    return list(zip(grid, p_set_verdicts(feasible_p_set(source, target), points)))
+    return list(zip(grid, p_set_verdicts(_p_set(source, target), points)))
 
 
 def _grid_layout(denominator: int, ends: Iterable[tuple[int, int]] = ()) -> tuple[int, list]:

@@ -243,6 +243,19 @@ class TestAnalyze:
         ]
         assert borrowed == []
 
+    def test_referee_is_independent_of_the_rule(self):
+        # The other direction: the oracle must reach its answer without the
+        # interval rule it referees.
+        import qcatalyst.catalysis as catalysis
+        import qcatalyst.oracle as oracle
+
+        borrowed = [
+            name
+            for name, value in vars(oracle).items()
+            if value is catalysis or getattr(value, "__module__", None) == catalysis.__name__
+        ]
+        assert borrowed == []
+
     def test_each_integer_convention_has_one_owner(self):
         # The bound kernels are named only in catalysis (callers go through
         # catalysis._bounds), only rationals writes the text "inf", and only

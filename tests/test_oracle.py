@@ -174,12 +174,24 @@ class TestOnTheIntegers:
         assert fractions_built(cli_quietly, argv) == 2
 
     def test_uncached_sweep_request_builds_no_fraction_for_the_grid(self):
-        # analyze's m and M (2) and the 15 of feasible_p_set; the interval
-        # ends reach the grid as _p_ends's int pairs (19 when they came as
-        # the two Fractions of p_interval).
+        # Only analyze's m and M: the interval ends reach the grid as
+        # _p_ends's int pairs, and the referee's breakpoints, roots and
+        # pieces are _p_set's int pairs (17 when the referee built them as
+        # Fractions, 19 when the ends also came as p_interval's Fractions).
         argv = ["sweep", "--source", "0.4,0.4,0.1,0.1", "--target", "0.5,0.25,0.25,0"]
         analyze.cache_clear()
-        assert fractions_built(cli_quietly, [*argv, "--denominator", "20"]) == 17
+        assert fractions_built(cli_quietly, [*argv, "--denominator", "20"]) == 2
+
+    def test_lorenz_request_builds_no_fraction(self):
+        # The rows come from the spectra's int partial sums (20 when they
+        # went through majorization.lorenz_points).
+        argv = ["lorenz", "0.4,0.4,0.1,0.1", "0.5,0.25,0.25,0"]
+        assert fractions_built(cli_quietly, argv) == 0
+
+    def test_feasible_p_set_builds_only_its_ends(self):
+        # Two Fractions per piece returned, none for a breakpoint or a root.
+        assert fractions_built(feasible_p_set, CAT_SOURCE, CAT_TARGET) == 2
+        assert fractions_built(feasible_p_set, HARD_SOURCE, HARD_TARGET) == 0
 
     def test_p_interval_builds_only_its_ends(self):
         # The ends come from the bounds' int pairs (4 when they were 1/(1+r)).
@@ -315,6 +327,20 @@ def assert_membership_is_the_oracle_verdict(source, target, extra_points=()):
             assert in_p_set(pieces, p) == oracle_valid_catalyst(source, target, catalyst)
 
 
+def on_lattice(d, twentieths):
+    """The spectrum of the weights, in twentieths, rounded down to
+    multiples of 1/d; the last component takes the remainder."""
+    parts = [w * d // 20 for w in twentieths]
+    parts[-1] += d - sum(parts)
+    return make_spectrum([F(x, d) for x in parts])
+
+
+# The worked pair at the input digit limit: the source over 10**4299 + 3
+# and the target over 10**4299 + 7 (4,300-digit denominators, every
+# numerator up to 4,299 digits); catalyzable, with 8,598-digit ends.
+LIMIT_PAIR = (on_lattice(10**4299 + 3, [8, 8, 2, 2]), on_lattice(10**4299 + 7, [10, 5, 5, 0]))
+
+
 class TestFeasiblePSet:
     def test_worked_example(self):
         assert feasible_p_set(CAT_SOURCE, CAT_TARGET) == ((F(3, 5), F(5, 8)),)
@@ -352,6 +378,13 @@ class TestFeasiblePSet:
         # Breakpoints and roots with denominators past 10**12; the
         # strategies above stop at 48.
         assert_membership_is_the_oracle_verdict(*pair)
+
+    def test_membership_is_the_oracle_verdict_at_the_digit_limit(self):
+        # Ends past 10**8597.  Not an @example of the test above: its
+        # oracle checks take 0.15-0.3 s on a 2-core host, around the 200 ms
+        # deadline hypothesis applies to explicit examples too.
+        assert len(feasible_p_set(*LIMIT_PAIR)) == 1
+        assert_membership_is_the_oracle_verdict(*LIMIT_PAIR)
 
     @given(any_pairs)
     @settings(max_examples=300)

@@ -95,13 +95,14 @@ def census_rows(*args: str) -> dict:
 
 
 def test_lattice_census_one_denominator():
-    # Every ordered pair of distinct spectra over each D <= 16: the rule and
-    # the oracle agree on all 13,624, and 4 pairs are catalyzable.
-    rows = census_rows("16")
-    assert rows["total"]["pairs"] == 13_624
+    # Every ordered pair of distinct spectra over each D <= 20: the rule and
+    # the oracle agree on all 46,006, and 30 pairs are catalyzable.
+    rows = census_rows("20")
+    assert rows["total"]["pairs"] == 46_006
+    assert rows["total"]["catalyzable"] == 30
     assert rows["total"]["disagreements"] == 0
-    catalyzable = [rows[str(d)]["catalyzable"] for d in range(1, 17)]
-    assert catalyzable == [0] * 13 + [1, 1, 2]
+    catalyzable = [rows[str(d)]["catalyzable"] for d in range(1, 21)]
+    assert catalyzable == [0] * 13 + [1, 1, 2, 3, 5, 6, 12]
     assert rows["12"]["pairs"] == 34 * 33  # 34 partitions of 12 into at most 4 parts
 
 
