@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, cycle
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, lcm
 
 from .catalysis import (
     Verdict,
@@ -65,6 +65,15 @@ from .spectra import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INCONSISTENT = 2
+
+# Largest catalyst validate reads, as its component count times the bit
+# length of its common denominator: the oracle's work grows with both, and
+# a small document of distinct denominators has a huge common one.  1,000
+# components of 1/1000 use 10,000, and two at the 4,300-digit limit about
+# 28,600.  3,200 components over 1,600 distinct 5-digit primes (a 55 KB
+# document) use 72 million; unchecked, validate took 2.3 s and 164 MB on
+# them (CPython 3.11.7, 2 cores).
+MAX_CATALYST_BITS = 1 << 17
 
 
 class InputError(Exception):
@@ -247,8 +256,14 @@ def _catalyst(request: dict) -> CatalystSpectrum:
         raise InputError("provide exactly one of --catalyst or --p (or a document key)")
     if "catalyst" in request:
         # Parsed first: a parse error names the key, a check error does not.
-        values = _array(request["catalyst"], "catalyst")
-        return make_catalyst([_rational(v, "catalyst") for v in values])
+        values = [_rational(v, "catalyst") for v in _array(request["catalyst"], "catalyst")]
+        # Checked before make_catalyst, which scales every numerator to the
+        # common denominator; the lcm stops growing at the first step over.
+        for den in accumulate([v.denominator for v in values], lcm):
+            if len(values) * (bits := den.bit_length()) > MAX_CATALYST_BITS:
+                raise InputError(f"catalyst: {len(values)} components times {bits} or more bits "
+                                 f"of their common denominator exceed {MAX_CATALYST_BITS}")
+        return make_catalyst(values)
     return two_qubit_catalyst(_rational(request["p"], "p"))
 
 

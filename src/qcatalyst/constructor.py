@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .catalysis import _bounds
 from .rationals import ratio_key, value_text
-from .spectra import Spectrum4, _as_fraction, _Frozen, _slacks
+from .spectra import Spectrum4, _as_pair, _Frozen, _require_fractions, _slacks
 
 
 class Branch(Enum):
@@ -49,6 +49,7 @@ class ConstructionResult(_Frozen):
     __slots__ = _fields = ("source", "target", "mu", "branch")
 
     def __init__(self, source: Spectrum4, target: Spectrum4, mu: Fraction, branch: Branch) -> None:
+        _require_fractions((mu,), "construction mu")
         self._set(source=source, target=target, mu=mu, branch=branch)
 
     @property
@@ -59,13 +60,12 @@ class ConstructionResult(_Frozen):
 def _targets(m0: Fraction, M0: Fraction) -> tuple[int, int, int, int]:
     """(p, r, P, Q) with m0 = p/r and M0 = P/Q in lowest terms; raises
     unless m0 > 0 and 0 < M0 < 1."""
-    m0 = _as_fraction(m0)
-    M0 = _as_fraction(M0)
-    if m0 <= 0:
-        raise ValueError(f"m0 must be positive, got {value_text(m0)}")
-    if not 0 < M0 < 1:
-        raise ValueError(f"M0 must lie strictly between 0 and 1, got {value_text(M0)}")
-    return (*m0.as_integer_ratio(), *M0.as_integer_ratio())
+    (p, r), (P, Q) = _as_pair(m0), _as_pair(M0)
+    if p <= 0:
+        raise ValueError(f"m0 must be positive, got {value_text(Fraction(p, r))}")
+    if not 0 < P < Q:
+        raise ValueError(f"M0 must lie strictly between 0 and 1, got {value_text(Fraction(P, Q))}")
+    return p, r, P, Q
 
 
 def _bound(p: int, r: int, P: int, Q: int) -> tuple[int, int]:
@@ -117,21 +117,20 @@ def construct_states(
 ) -> ConstructionResult:
     """Build a state pair with ratio bounds exactly (m0, M0).
 
-    mu defaults to the closed-form choice of the module docstring; a pinned
-    mu must be positive.  Either way the pair is verified, and a ValueError
-    is raised if it breaks any invariant.  Raises ValueError when m0 <= 0
-    or M0 is outside (0, 1).  The pair is built and verified on the ints.
+    m0, M0 and a pinned mu are Fractions, ints or strings, each read as
+    one int pair in lowest terms (spectra._as_pair; a float or a bool
+    raises TypeError).  mu defaults to the closed-form choice of the module
+    docstring; a pinned mu must be positive.  Either way the pair is
+    verified, and a ValueError is raised if it breaks any invariant.  Raises
+    ValueError when m0 <= 0 or M0 is outside (0, 1).  The pair is built and
+    verified on the ints.
     """
     p, r, P, Q = _targets(m0, M0)
     branch, W, H, q = _profile(p, r)
-    if mu is None:
-        U, V = _first_admissible_mu(p, r, P, Q, W, H, q)
-        mu = Fraction(U, V)
-    else:
-        mu = _as_fraction(mu)
-        if mu <= 0:
-            raise ValueError(f"mu must be positive, got {value_text(mu)}")
-    U, V = mu.as_integer_ratio()
+    U, V = _first_admissible_mu(p, r, P, Q, W, H, q) if mu is None else _as_pair(mu)
+    mu = Fraction(U, V)
+    if U <= 0:
+        raise ValueError(f"mu must be positive, got {value_text(mu)}")
     # a * (1 - mu, h + (m0+1) mu, h - (M0+1) m0 mu, q + M0 m0 mu) over
     # den = S V r Q, with a = W/S; the slacks (mu a, m0 mu a, M0 m0 mu a)
     # over the same den.

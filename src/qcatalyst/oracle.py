@@ -17,6 +17,8 @@ differences at the breakpoints and solving the linear inequalities on each
 cell gives the feasible set without trusting any formula for m or M.
 Every breakpoint, gap and root is an int or an int pair (numerator,
 denominator); feasible_p_set makes a Fraction only of each end it returns.
+The two spectra are put over one denominator once per call, so each gap
+term at a breakpoint is a difference of two products, with no rescaling.
 """
 from __future__ import annotations
 
@@ -26,12 +28,12 @@ from itertools import accumulate
 from math import gcd
 
 from .majorization import is_majorized_by
-from .rationals import HALF, ratio_key, value_text
+from .rationals import ratio_key, value_text
 from .spectra import (
     AugmentedSpectrum,
     CatalystSpectrum,
     Spectrum4,
-    _as_fraction,
+    _as_pair,
     _two_qubit_parameter,
 )
 
@@ -69,14 +71,14 @@ def oracle_valid_catalyst(
     return is_majorized_by(augment(source, catalyst), augment(target, catalyst))
 
 
-def _sum_gaps(source: Spectrum4, target: Spectrum4, p: Ratio) -> list[int]:
-    """Target minus source partial sums of the spectra augmented by (p, 1-p),
-    for p = n/q as the int pair (n, q), as numerators over den_s * den_t * q;
-    the oracle accepts p exactly when none is negative."""
-    (alpha, den_s), (beta, den_t) = source.scaled, target.scaled
+def _sum_gaps(alpha: Sequence[int], beta: Sequence[int], p: Ratio) -> list[int]:
+    """Target minus source partial sums of two spectra augmented by (p, 1-p),
+    for alpha and beta the source's and the target's numerators over one
+    denominator D and p = n/q as the int pair (n, q), as numerators over
+    D * q; the oracle accepts p exactly when none is negative."""
     kappa = (p[0], p[1] - p[0])
     pairs = zip(_products(alpha, kappa), _products(beta, kappa))
-    return list(accumulate([t * den_s - s * den_t for s, t in pairs]))
+    return list(accumulate([t - s for s, t in pairs]))
 
 
 def _p_set(source: Spectrum4, target: Spectrum4) -> tuple[tuple[Ratio, Ratio], ...]:
@@ -84,17 +86,20 @@ def _p_set(source: Spectrum4, target: Spectrum4) -> tuple[tuple[Ratio, Ratio], .
     denominator positive; an end that is a root need not be in lowest terms.
 
     The breakpoints are 1/2, 1 and the crossings y/(x+y) of each spectrum,
-    reduced.  Each partial-sum gap is linear between consecutive breakpoints
-    a and b, so on that cell its sign follows from its values at the two
-    ends, _sum_gaps numerators over one factor times a's and b's
-    denominators.
+    reduced.  Both spectra are put over den_s * den_t once, so each gap
+    term at a breakpoint is one difference.  Each partial-sum gap is linear
+    between consecutive breakpoints a and b, so on that cell its sign
+    follows from its values at the two ends, _sum_gaps numerators over one
+    factor times a's and b's denominators.
     """
+    (s, den_s), (t, den_t) = source.scaled, target.scaled
     points = {(1, 2), (1, 1)}
-    for nums in (source.scaled[0], target.scaled[0]):
+    for nums in (s, t):
         points.update((y // g, (x + y) // g) for x in nums for y in nums if 0 < x < y
                       for g in [gcd(x, y)])
     points = sorted(points, key=ratio_key)
-    gaps = [_sum_gaps(source, target, p) for p in points]
+    alpha, beta = [x * den_t for x in s], [y * den_s for y in t]
+    gaps = [_sum_gaps(alpha, beta, p) for p in points]
     pieces: list[tuple[Ratio, Ratio]] = []
     for (an, ad), (bn, bd), gaps_a, gaps_b in zip(points, points[1:], gaps, gaps[1:]):
         lo, hi = (an, ad), (bn, bd)
@@ -193,10 +198,10 @@ def sweep_grid(
     """
 
     def ends():
-        for endpoint in map(_as_fraction, p_interval or ()):
-            if not HALF <= endpoint <= 1:
-                raise ValueError(f"interval endpoint {value_text(endpoint)} outside [1/2, 1]")
-            yield endpoint.as_integer_ratio()
+        for a, b in map(_as_pair, p_interval or ()):
+            if not b <= 2 * a <= 2 * b:
+                raise ValueError(f"interval endpoint {value_text(Fraction(a, b))} outside [1/2, 1]")
+            yield a, b
 
     first, extras = _grid_layout(denominator, ends())
     grid = [Fraction(k, denominator) for k in range(first, denominator + 1)]

@@ -26,14 +26,21 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import parse_ratio, parse_rational, value_text
+from .rationals import parse_ratio, value_text
 
 
-def _as_fraction(value: Fraction | int | str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _as_pair(value: Fraction | int | str) -> tuple[int, int]:
+    """(numerator, denominator > 0) in lowest terms of an outside rational:
+    every value the library reads enters here.  A string is parsed to ints
+    in lowest terms (parse_ratio, then one gcd) without a Fraction."""
+    # str first: Fraction is an ABC, so isinstance(value, Fraction) costs
+    # about ten times as much, and most values read are text.
     if isinstance(value, str):
-        return parse_rational(value)
+        num, den = parse_ratio(value)
+        g = gcd(num, den)
+        return num // g, den // g
+    if isinstance(value, Fraction):
+        return value.as_integer_ratio()
     # Floats are rejected everywhere: Fraction(0.1) would capture the binary
     # approximation, silently breaking exactness.
     if isinstance(value, float):
@@ -41,15 +48,7 @@ def _as_fraction(value: Fraction | int | str) -> Fraction:
     # bool is an int subclass; True must not pass for the rational 1.
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals; pass a Fraction, int, or string")
-    return Fraction(value)
-
-
-def _as_pair(value: Fraction | int | str) -> tuple[int, int]:
-    """(numerator, denominator > 0) of a value _as_fraction accepts; a
-    string is parsed to the ints directly, and not reduced."""
-    if isinstance(value, str):
-        return parse_ratio(value)
-    return _as_fraction(value).as_integer_ratio()
+    return Fraction(value).as_integer_ratio()
 
 
 def _integer_form(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -67,7 +66,7 @@ def _require_fractions(values: Iterable, what: str) -> None:
 
 def _two_qubit_parameter(p: Fraction) -> tuple[int, int]:
     """(k, d) with p = k/d in lowest terms; raises unless 1/2 <= p <= 1."""
-    k, d = _as_fraction(p).as_integer_ratio()
+    k, d = _as_pair(p)
     if not d <= 2 * k <= 2 * d:
         raise ValueError(
             f"two-qubit catalyst parameter must be in [1/2, 1], got {value_text(Fraction(k, d))}"

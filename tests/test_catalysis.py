@@ -535,6 +535,11 @@ class TestReportInvariants:
             ("FeasibilityReport(m=F(1, 2), M=F(2))", "ValueError: inconsistent"),
             ("EpsilonTriple(F(-1), F(1), F(0))", "ValueError: slack triple must satisfy"),
             ("FeasibilityReport(m=0.5, M=F(3, 4))", "TypeError"),
+            (
+                "import qcatalyst as q; r = q.construct_states(F(2, 3), F(1, 3)); "
+                "q.ConstructionResult(r.source, r.target, 0.5, r.branch)",
+                "TypeError: construction mu must be Fractions",
+            ),
         ]:
             code = (
                 "from fractions import Fraction as F\n"

@@ -6,6 +6,7 @@ import json
 import pstats
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -350,6 +351,43 @@ class TestValidate:
         stdin = json.dumps({**doc, **extra})
         code, out, err = run(capsys, ["validate", *argv], stdin=stdin, monkeypatch=monkeypatch)
         assert code == 1 and out == "" and "[1/2, 1]" in err
+
+    @staticmethod
+    def _catalyst_document(catalyst) -> str:
+        doc = {"source": ["0.4", "0.4", "0.1", "0.1"], "target": ["0.5", "0.25", "0.25", "0"]}
+        return json.dumps({**doc, "catalyst": catalyst})
+
+    def test_catalyst_work_capped(self, capsys, monkeypatch):
+        # 3,200 components 1/(N q) and (q-1)/(N q) over N = 1,600 distinct
+        # 5-digit primes q: a 55 KB document whose common denominator has
+        # about 6,800 digits (about 2.3 s and 164 MB of work unchecked).
+        n = 1600
+        primes = [q for q in range(10_001, 30_000, 2) if all(q % d for d in range(3, 174, 2))]
+        assert len(primes) >= n
+        catalyst = [text for q in primes[:n] for text in (f"1/{n * q}", f"{q - 1}/{n * q}")]
+        stdin = self._catalyst_document(catalyst)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["validate"], stdin=stdin, monkeypatch=monkeypatch)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: catalyst: {2 * n} components times ")
+        assert err.endswith(f"bits of their common denominator exceed {cli.MAX_CATALYST_BITS}\n")
+
+    @pytest.mark.parametrize(
+        "catalyst",
+        [
+            ["1/1000"] * 1000,
+            # Two components at the 4,300-digit limit.
+            [f"{5 * 10**4298 + 1}/{10**4299}", f"{5 * 10**4298 - 1}/{10**4299}"],
+            ["1", *["0"] * 1000],
+        ],
+        ids=["1000-equal", "digit-limit", "1001-with-zeros"],
+    )
+    def test_large_catalysts_accepted(self, capsys, monkeypatch, catalyst):
+        stdin = self._catalyst_document(catalyst)
+        code, out, err = run(capsys, ["validate"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["agree"] is True
 
 
 class TestSweep:

@@ -13,10 +13,13 @@ from qcatalyst import (
     is_majorized_by,
     make_catalyst,
     make_spectrum,
+    mu_admissible_bound,
     parse_rational,
     render_decimal,
+    sweep_grid,
     two_qubit_catalyst,
 )
+from qcatalyst.spectra import _as_pair
 
 from support import satisfies_star, spectra, star_pairs
 
@@ -73,6 +76,47 @@ class TestMakeSpectrum:
     def test_direct_construction_requires_canonical(self):
         with pytest.raises(ValueError, match="sorted descending"):
             Spectrum4((Fraction(1, 10), Fraction(2, 5), Fraction(2, 5), Fraction(1, 10)))
+
+
+class TestOutsideRationals:
+    """spectra._as_pair, the one converter for values the library reads."""
+
+    @pytest.mark.parametrize(
+        "value,pair",
+        [
+            ("0.40", (2, 5)),
+            ("-6/4", (-3, 2)),
+            ("0/7", (0, 1)),
+            (" 15e-1 ", (3, 2)),
+            (Fraction(6, 4), (3, 2)),
+            (3, (3, 1)),
+            (-4, (-4, 1)),
+        ],
+    )
+    def test_lowest_terms(self, value, pair):
+        result = _as_pair(value)
+        assert result == pair and all(type(x) is int for x in result)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (0.5, "binary floats are not exact; pass a Fraction, int, or string"),
+            (True, "booleans are not rationals; pass a Fraction, int, or string"),
+            (False, "booleans are not rationals; pass a Fraction, int, or string"),
+        ],
+    )
+    def test_float_and_bool_messages(self, value, message):
+        with pytest.raises(TypeError) as info:
+            _as_pair(value)
+        assert str(info.value) == message
+
+    def test_every_reader_gets_lowest_terms(self):
+        assert two_qubit_catalyst("6/10").scaled == ((3, 2), 5)
+        assert mu_admissible_bound("2/6", "2/4") == mu_admissible_bound(Fraction(1, 3), "0.5")
+        # 6/10 is the lattice point 3/5, not a second row beside it.
+        assert sweep_grid(5, ("6/10", "5/8")) == [
+            Fraction(1, 2), Fraction(3, 5), Fraction(5, 8), Fraction(4, 5), Fraction(1)
+        ]
 
 
 class TestCatalysts:
