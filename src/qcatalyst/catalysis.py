@@ -119,24 +119,29 @@ def _lower_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int]:
 
 
 def _upper_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int]:
-    """M as (numerator, denominator > 0), on the ints as _lower_bound."""
+    """M as (numerator, denominator), on the ints as _lower_bound; the
+    denominator alpha2 - eps1 is positive for valid slacks of a real pair
+    (target2 = alpha2 - eps1 - eps2 >= 0 and eps2 > 0)."""
     _, a2, a3, _ = alpha
     e1, e2, e3 = eps
-    if a2 - e1 <= 0:
-        raise DegenerateSpectrumError(
-            "alpha2 - eps1 <= 0: implied target has a vanishing second coefficient"
-        )
     return min([(a3 + e3, a2 - e1), (e3, e2)], key=ratio_key)
 
 
 def _bounds(
     source: Spectrum4, slacks: Sequence[int], den: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(m, M) of a source and its valid slacks over den, as _lower_bound and
+    """(m, M) of a source and its slacks over den, as _lower_bound and
     _upper_bound give them: the source is put over den, which must be a
     multiple of the source's denominator, as _slacks's den_s * den_t is."""
     alpha = [a * den // source.scaled[1] for a in source.scaled[0]]
     return _lower_bound(alpha, slacks), _upper_bound(alpha, slacks)
+
+
+def _triple_bounds(alpha: Spectrum4, eps: EpsilonTriple) -> tuple[tuple[int, int], tuple[int, int]]:
+    """_bounds of a source and a slack triple: the slacks are put over their
+    lcm den, then over den times the source's denominator."""
+    slacks, den = _integer_form([e.as_integer_ratio() for e in eps._args()])
+    return _bounds(alpha, [e * alpha.scaled[1] for e in slacks], den * alpha.scaled[1])
 
 
 def _p_ends(m: tuple[int, int], M: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -145,14 +150,6 @@ def _p_ends(m: tuple[int, int], M: tuple[int, int]) -> tuple[tuple[int, int], tu
     p, so the ends swap; kept in one place because that inversion is a
     perennial hazard."""
     return (M[1], M[0] + M[1]), (m[1], m[0] + m[1])
-
-
-def _bounds_form(alpha: Spectrum4, eps: EpsilonTriple) -> tuple[list[int], list[int]]:
-    """The source's components and the slacks as ints over one denominator."""
-    nums, den = alpha.scaled
-    slacks = [e.as_integer_ratio() for e in (eps.eps1, eps.eps2, eps.eps3)]
-    ints = _integer_form([(n, den) for n in nums] + slacks)[0]
-    return ints[:4], ints[4:]
 
 
 def compute_m(alpha: Spectrum4, eps: EpsilonTriple) -> ExtendedRational:
@@ -165,9 +162,9 @@ def compute_m(alpha: Spectrum4, eps: EpsilonTriple) -> ExtendedRational:
     constraint it encodes is vacuous there and the term is omitted from the
     max.  Such pairs are still reachable valid decompositions, but eps3 = 0
     forces the upper bound to 0, so they are never catalyzable either way.
-    Computed on the ints (_lower_bound), with one Fraction for the result.
+    Computed on the ints (_triple_bounds), with one Fraction for the result.
     """
-    m = _lower_bound(*_bounds_form(alpha, eps))
+    m = _triple_bounds(alpha, eps)[0]
     return Fraction(*m) if m[1] else INFINITY
 
 
@@ -175,10 +172,16 @@ def compute_M(alpha: Spectrum4, eps: EpsilonTriple) -> Fraction:
     """Upper bound M of the feasible catalyst-ratio interval.
 
     Equals 0 when eps3 = 0.  Raises DegenerateSpectrumError when
-    alpha2 - eps1 <= 0, which no valid slack triple can produce.  Computed
-    on the ints (_upper_bound), with one Fraction for the result.
+    alpha2 - eps1 <= 0, which no valid slack triple of a real pair can
+    produce.  Computed on the ints (_triple_bounds), with one Fraction for
+    the result.
     """
-    return Fraction(*_upper_bound(*_bounds_form(alpha, eps)))
+    (nums, den_s), (e1, d1) = alpha.scaled, eps.eps1.as_integer_ratio()
+    if nums[1] * d1 <= e1 * den_s:
+        raise DegenerateSpectrumError(
+            "alpha2 - eps1 <= 0: implied target has a vanishing second coefficient"
+        )
+    return Fraction(*_triple_bounds(alpha, eps)[1])
 
 
 @lru_cache(maxsize=256)

@@ -81,6 +81,10 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # The top-level parser's command table: each command's name to its
+    # parser, its handler and the flags that stand for the stdin document.
+    commands: dict[str, tuple]
+
     # argparse's default error() exits with status 2, which is reserved here
     # for internal consistency failures; route usage errors to exit 1.
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -183,23 +187,21 @@ def _load_document() -> dict:
     return document
 
 
-def _request(args: argparse.Namespace) -> dict:
-    """The request document of one command call.
+def _request(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
+    """The request document of one command call, from the flags given.
 
     Flags are document keys.  The stdin document is read only when none of
     the command's required keys came as a flag; a flag that is given
     replaces the document key of the same name.
     """
-    request = vars(args).copy()
-    del request["command"], request["handler"]
-    required = request.pop("required")
-    given = [key for key in required if key in request]
+    flags = vars(args)
+    given = [key for key in required if key in flags]
     if not given:
-        return {**_load_document(), **request}
+        return {**_load_document(), **flags}
     if len(given) < len(required):
-        flags = " and ".join(f"--{key}" for key in required)
-        raise InputError(f"provide both {flags}, or neither (stdin document)")
-    return request
+        names = " and ".join(f"--{key}" for key in required)
+        raise InputError(f"provide both {names}, or neither (stdin document)")
+    return flags
 
 
 def _require(request: dict, *keys: str) -> None:
@@ -255,13 +257,17 @@ def _catalyst(request: dict) -> CatalystSpectrum:
     if ("catalyst" in request) == ("p" in request):
         raise InputError("provide exactly one of --catalyst or --p (or a document key)")
     if "catalyst" in request:
-        # Parsed first: a parse error names the key, a check error does not.
-        values = [_rational(v, "catalyst") for v in _array(request["catalyst"], "catalyst")]
-        # Checked before make_catalyst, which scales every numerator to the
-        # common denominator; the lcm stops growing at the first step over.
-        for den in accumulate([v.denominator for v in values], lcm):
-            if len(values) * (bits := den.bit_length()) > MAX_CATALYST_BITS:
-                raise InputError(f"catalyst: {len(values)} components times {bits} or more bits "
+        raw = _array(request["catalyst"], "catalyst")
+        # Parsed here, not in make_catalyst: a parse error names the key, a
+        # check error does not.  The work is capped before make_catalyst
+        # scales every numerator to the common denominator, and parsing
+        # stops at the first component whose lcm step is over the cap.
+        values, den = [], 1
+        for text in raw:
+            values.append(value := _rational(text, "catalyst"))
+            den = lcm(den, value.denominator)
+            if len(raw) * (bits := den.bit_length()) > MAX_CATALYST_BITS:
+                raise InputError(f"catalyst: {len(raw)} components times {bits} or more bits "
                                  f"of their common denominator exceed {MAX_CATALYST_BITS}")
         return make_catalyst(values)
     return two_qubit_catalyst(_rational(request["p"], "p"))
@@ -276,12 +282,12 @@ def _cmd_validate(request: dict) -> dict:
     oracle_verdict = oracle_valid_catalyst(source, target, catalyst)
     theorem_verdict: bool | None = None
     if len(kappa) == 2:
-        if already_possible:
-            # Majorization survives pairing with any shared catalyst, so the
-            # transformation stays possible; no interval check applies.
-            theorem_verdict = True
-        else:
-            theorem_verdict = is_valid_catalyst(source, target, Fraction(kappa[0], den))
+        # When LOCC already works, majorization survives pairing with any
+        # shared catalyst, so the transformation stays possible; no interval
+        # check applies.
+        theorem_verdict = already_possible or is_valid_catalyst(
+            source, target, Fraction(kappa[0], den)
+        )
     return {
         "catalyst": _ratio_strings(kappa, den),
         "p": _ratio_strings(kappa[:1], den)[0] if len(kappa) == 2 else None,
@@ -383,11 +389,12 @@ def _build_parser() -> _Parser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
     def command(name: str, summary: str, handler, required) -> argparse.ArgumentParser:
         # SUPPRESS keeps the flags that were not given out of the request.
         sub = subparsers.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        sub.set_defaults(handler=handler, required=required)
+        parser.commands[name] = sub, handler, required
         return sub
 
     def pair_command(name: str, summary: str, handler) -> argparse.ArgumentParser:
@@ -424,10 +431,16 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command call: the command named first is parsed by its own
+    parser alone, in one argparse pass; any other argv (none, -h, an unknown
+    command) goes to the top-level parser, which prints help or raises."""
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        result = args.handler(_request(args))
+        if not argv or argv[0] not in parser.commands:
+            parser.parse_args(argv)
+        sub, handler, required = parser.commands[argv[0]]
+        result = handler(_request(sub.parse_args(argv[1:]), required))
         is_report = isinstance(result, dict)
         print(_json_text(result) if is_report else "\n".join(result))
         # A reader that went away must surface here, not at interpreter exit.

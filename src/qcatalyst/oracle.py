@@ -139,17 +139,10 @@ def feasible_p_set(source: Spectrum4, target: Spectrum4) -> PSet:
 
 def p_set_verdicts(pieces: Sequence[tuple[Ratio, Ratio]], points: Iterable[Ratio]) -> list[bool]:
     """Whether each p = n/q of points, given as int pairs with q > 0, lies
-    in pieces (a _p_set result); exact, on the ints."""
-    verdicts = []
-    for n, q in points:
-        for (ln, ld), (hn, hd) in pieces:
-            # lo <= n/q <= hi; every denominator is positive.
-            if ln * q <= n * ld and n * hd <= hn * q:
-                verdicts.append(True)
-                break
-        else:
-            verdicts.append(False)
-    return verdicts
+    in pieces (a _p_set result); exact, on the ints: lo <= n/q <= hi, with
+    every denominator positive."""
+    return [any(ln * q <= n * ld and n * hd <= hn * q for (ln, ld), (hn, hd) in pieces)
+            for n, q in points]
 
 
 def sweep(

@@ -51,9 +51,9 @@ _DECIMAL_DIGITS = 12
 _DECIMAL_SCALE = 10**_DECIMAL_DIGITS
 
 
-def _exponent_in_range(exponent: str | None) -> bool:
+def _exponent_in_range(exponent: str) -> bool:
     try:
-        return exponent is None or abs(int(exponent)) <= MAX_EXPONENT
+        return abs(int(exponent)) <= MAX_EXPONENT
     except ValueError:  # more digits than int() converts: far out of range
         return False
 
@@ -69,16 +69,18 @@ def parse_ratio(text: str) -> tuple[int, int]:
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     match = _RATIONAL.match(text)
+    if match:
+        sign, num, den, decimal, exponent = match.groups()
+    else:
+        exponent = (found := _EXPONENT.search(text)) and found[1]
     # Checked first, on malformed text too; Fraction would build 10**exponent.
-    exponent = match["exp"] if match else (found := _EXPONENT.search(text)) and found[1]
-    if not _exponent_in_range(exponent):
+    if exponent and not _exponent_in_range(exponent):
         raise ValueError(f"exponent of rational {text!r} exceeds {MAX_EXPONENT} in magnitude")
     try:
         if match is None:
             raise ValueError
-        num, den = int(match["num"] or "0"), int(match["den"] or "1")
-        decimal = (match["decimal"] or "").replace("_", "")
-        if decimal:
+        num, den = int(num or "0"), int(den or "1")
+        if decimal := (decimal or "").replace("_", ""):
             num, den = num * 10 ** len(decimal) + int(decimal), 10 ** len(decimal)
     except ValueError:
         if re.search(_LONG_NUMBER, text):
@@ -89,7 +91,7 @@ def parse_ratio(text: str) -> tuple[int, int]:
     if exponent:
         exponent = int(exponent)
         num, den = (num * 10**exponent, den) if exponent >= 0 else (num, den * 10**-exponent)
-    return (-num if match["sign"] == "-" else num), den
+    return (-num if sign == "-" else num), den
 
 
 def parse_rational(text: str) -> Fraction:

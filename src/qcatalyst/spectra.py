@@ -126,6 +126,13 @@ class _Scaled(_Frozen):
     def _key(self) -> tuple[tuple[int, ...], int]:
         return self.scaled
 
+    @classmethod
+    def _unchecked(cls, scaled: tuple[tuple[int, ...], int]) -> _Scaled:
+        """The value holding ``scaled``, built without a subclass's checks."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "scaled", scaled)
+        return value
+
     def __iter__(self) -> Iterator[Fraction]:
         nums, den = self.scaled
         return iter([Fraction(n, den) for n in nums])
@@ -139,10 +146,10 @@ class _Scaled(_Frozen):
 
 class _Canonical(_Scaled):
     """A canonical probability vector: nonnegative, sorted descending, sum 1.
-    It is built from its Fractions in that order, or by ``_of`` from
-    (numerator, denominator) pairs in any order; either way the checks run in
-    one order, after the length check, and only the reduced ``scaled`` is
-    stored."""
+    It is built from its Fractions in that order, by ``_of`` from
+    (numerator, denominator) pairs in any order, or by ``_from_form`` from an
+    integer form; every way the checks run in one order, and only the
+    reduced ``scaled`` is stored."""
 
     __slots__ = ()
     _what = ""
@@ -155,22 +162,24 @@ class _Canonical(_Scaled):
 
     @classmethod
     def _of(cls, pairs: list[tuple[int, int]]) -> _Canonical:
+        """The value of pairs in lowest terms, in any order.  Over their lcm
+        they stay in lowest terms: a prime's top power in the lcm divides
+        some pair's denominator, so not that pair's numerator."""
         cls._check_length(len(pairs))
         nums, den = _integer_form(pairs)
         nums.sort(reverse=True)
-        return cls._from_form(nums, den)
+        return cls._unchecked(cls._checked(nums, den))
 
     @classmethod
     def _from_form(cls, nums: list[int], den: int) -> _Canonical:
         """The value of integer form nums over den, checked and reduced."""
-        value = object.__new__(cls)
-        object.__setattr__(value, "scaled", cls._checked(nums, den))
-        return value
+        g = gcd(den, *nums)
+        return cls._unchecked(cls._checked([n // g for n in nums], den // g))
 
     @classmethod
     def _checked(cls, nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
         """Raise unless nums over den are nonnegative, sorted descending and
-        sum to 1; return them in lowest terms."""
+        sum to 1; return them as ``scaled``."""
         if min(nums) < 0:
             raise ValueError(f"{cls._what} components must be nonnegative")
         if nums != sorted(nums, reverse=True):
@@ -178,8 +187,7 @@ class _Canonical(_Scaled):
         if (total := sum(nums)) != den:
             shown = value_text(Fraction(total, den))
             raise ValueError(f"{cls._what} components must sum to 1, got {shown}")
-        g = gcd(den, *nums)
-        return tuple([n // g for n in nums]), den // g
+        return tuple(nums), den
 
 
 class Spectrum4(_Canonical):
@@ -282,9 +290,7 @@ def two_qubit_catalyst(p: Fraction) -> CatalystSpectrum:
     """
     k, d = _two_qubit_parameter(p)
     # Canonical by construction (d <= 2k <= 2d): CatalystSpectrum's check is skipped.
-    catalyst = object.__new__(CatalystSpectrum)
-    object.__setattr__(catalyst, "scaled", ((k, d - k), d))
-    return catalyst
+    return CatalystSpectrum._unchecked(((k, d - k), d))
 
 
 def _slacks(source: Spectrum4, target: Spectrum4) -> tuple[tuple[int, int, int], int]:

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import cProfile
 import fractions
+import importlib.util
 import io
 import json
 import pstats
@@ -30,7 +32,7 @@ from qcatalyst import (
 )
 from qcatalyst.oracle import MAX_GRID_DENOMINATOR
 
-from support import child_env, coprime_star_pairs, spectra, star_pairs
+from support import ROOT, child_env, coprime_star_pairs, spectra, star_pairs
 
 CATALYZABLE = ["--source", "0.4,0.4,0.1,0.1", "--target", "0.5,0.25,0.25,0"]
 HARD = ["--source", "0.45,0.45,0.05,0.05", "--target", "0.5,0.35,0.15,0"]
@@ -372,6 +374,39 @@ class TestValidate:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: catalyst: {2 * n} components times ")
         assert err.endswith(f"bits of their common denominator exceed {cli.MAX_CATALYST_BITS}\n")
+
+    def test_catalyst_over_the_cap_refused_at_its_first_step(self, capsys, monkeypatch):
+        # One "1" and 200,000 "0"s: 200,001 components times the 1 bit of
+        # the first denominator are over the cap, so only "1" is parsed.
+        parsed = []
+
+        def counted(text):
+            parsed.append(text)
+            return parse_rational(text)
+
+        monkeypatch.setattr(cli, "parse_rational", counted)
+        stdin = self._catalyst_document(["1", *["0"] * 200_000])
+        code, out, err = run(capsys, ["validate"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out, parsed) == (1, "", ["1"])
+        assert err == (
+            "error: catalyst: 200001 components times 1 or more bits "
+            f"of their common denominator exceed {cli.MAX_CATALYST_BITS}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "catalyst,message",
+        [
+            # Malformed at or before the step over the cap: the parse error.
+            (["x", *["0"] * 200_000], "error: catalyst: malformed rational 'x'\n"),
+            # Malformed after it: the cap's message.
+            (["1", "x", *["0"] * 200_000], "error: catalyst: 200002 components times 1 "),
+        ],
+        ids=["malformed-first", "malformed-after"],
+    )
+    def test_malformed_catalyst_over_the_cap(self, capsys, monkeypatch, catalyst, message):
+        stdin = self._catalyst_document(catalyst)
+        code, out, err = run(capsys, ["validate"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "") and err.startswith(message)
 
     @pytest.mark.parametrize(
         "catalyst",
@@ -909,3 +944,103 @@ class TestSharedParser:
         run(capsys, ["check-locc", *CATALYZABLE])
         assert cli._build_parser() is first
         assert cli._build_parser.cache_info().misses == 1
+
+
+def fingerprint_calls() -> list:
+    """(argv, stdin) of the 3,060 calls of scripts/cli_fingerprint.py's
+    default run: seeds 1-3, 1,000 requests and 20 sweep calls each."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_fingerprint", ROOT / "scripts" / "cli_fingerprint.py"
+    )
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    return [call for seed in (1, 2, 3) for call in fingerprint.calls(seed, 1000, 20)]
+
+
+class _Parsed(Exception):
+    """Raised in place of building the request, with the flags main parsed."""
+
+
+class TestDispatch:
+    """main hands a call that names a command first to that command's parser
+    alone; the top-level parser must answer every call the same way."""
+
+    PAIR = ["0.5,0.25,0.25,0"]
+    EDGES = [
+        ["analyze", "--sour", "0.4,0.4,0.1,0.1", "--target", *PAIR],
+        ["construct", "--m", "1/5", "--M0", "1/2"],  # --m0 or --mu: ambiguous
+        ["analyze", "--source=0.4,0.4,0.1,0.1", "--target=0.5,0.25,0.25,0"],
+        ["analyze", "-h"],
+        ["sweep", "--source", "1,0,0,0", "--help"],
+        ["lorenz", "--", "a,b,c,d"],
+        ["lorenz", "--", "-1,2,0,0", "--source"],
+        ["construct", "--m0", "-1/5", "--M0", "1/2"],
+        ["construct", "--m0", "-1", "--M0", "1/2"],
+        ["check-locc", "--source", "-0.1,0.6,0.3,0.2", "--target", *PAIR],
+        ["analyze", "--source", "1,0,0,0", "--source", "0.4,0.4,0.1,0.1", "--target", *PAIR],
+        ["analyze", "--frobnicate", "1", *CATALYZABLE],
+        ["sweep", *CATALYZABLE, "--denominator", "ten"],
+        ["--", "analyze", *CATALYZABLE],
+        [],
+        ["-h"],
+        ["--he"],
+        ["-x", "analyze", *CATALYZABLE],
+        ["analyse", *CATALYZABLE],
+        ["lorenz"],
+    ]
+
+    @staticmethod
+    def through_main(capsys, monkeypatch, argv) -> tuple:
+        def parsed(args, *_):
+            raise _Parsed(vars(args))
+
+        monkeypatch.setattr(cli, "_request", parsed)
+        try:
+            code = cli.main(argv)
+        except _Parsed as reached:
+            return "request", {"command": argv[0], **reached.args[0]}
+        except SystemExit as exited:
+            return "exit", exited.code, capsys.readouterr().out
+        return "error", code, capsys.readouterr().err
+
+    @staticmethod
+    def through_top_level(capsys, argv) -> tuple:
+        try:
+            args = cli._build_parser().parse_args(argv)
+        except cli.InputError as exc:
+            return "error", 1, f"error: {exc}\n"
+        except SystemExit as exited:
+            return "exit", exited.code, capsys.readouterr().out
+        return "request", vars(args)
+
+    def test_same_answer_as_the_top_level_parser(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = fingerprint_calls()
+        assert len(calls) == 3060
+        kinds = set()
+        for argv in [argv for argv, _ in calls] + self.EDGES:
+            answer = self.through_main(capsys, monkeypatch, argv)
+            assert answer == self.through_top_level(capsys, argv), argv
+            kinds.add(answer[0])
+        assert kinds == {"request", "error", "exit"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", *CATALYZABLE],
+            ["lorenz", "0.4,0.4,0.1,0.1", "0.5,0.25,0.25,0"],
+            ["construct", "--m0", "7/30", "--M0", "3/7"],
+            ["check-locc", "--source", "0.4,0.4,0.1,0.1"],
+        ],
+        ids=["analyze", "lorenz", "construct", "partial-flags"],
+    )
+    def test_a_command_call_runs_one_parse(self, capsys, argv):
+        profile = cProfile.Profile()
+        profile.runcall(cli.main, argv)
+        capsys.readouterr()
+        parses = sum(
+            calls
+            for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+            if path == argparse.__file__ and name == "parse_known_args"
+        )
+        assert parses == 1

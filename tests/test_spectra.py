@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qcatalyst import (
@@ -109,6 +110,19 @@ class TestOutsideRationals:
         with pytest.raises(TypeError) as info:
             _as_pair(value)
         assert str(info.value) == message
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40)), min_size=1, max_size=8))
+    def test_unreduced_text_is_stored_in_lowest_terms(self, parts):
+        # Components w*c/(W*c), which sum to 1 and share factors with their
+        # denominators; each is reduced once, as it is read, and the
+        # catalyst over their lcm is in lowest terms with no second gcd.
+        total = sum(w for w, _ in parts)
+        assume(total > 0)
+        texts = [f"{w * c}/{total * c}" for w, c in parts]
+        catalyst = make_catalyst(texts)
+        nums, den = catalyst.scaled
+        assert gcd(den, *nums) == 1
+        assert catalyst == CatalystSpectrum(tuple(sorted(map(Fraction, texts), reverse=True)))
 
     def test_every_reader_gets_lowest_terms(self):
         assert two_qubit_catalyst("6/10").scaled == ((3, 2), 5)
