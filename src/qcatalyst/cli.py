@@ -46,6 +46,7 @@ from .oracle import (
 from .rationals import (
     _DECIMAL_DIGITS,
     _DECIMAL_SCALE,
+    MAX_DIGITS,
     ExtendedRational,
     decimal_text,
     parse_rational,
@@ -159,10 +160,8 @@ def _spectrum(values, label: str) -> Spectrum4:
 
 
 def _json_int(text: str) -> int | str:
-    try:
-        return int(text)
-    except ValueError:
-        return text
+    """A JSON integer as an int, or as its text past MAX_DIGITS digits."""
+    return text if len(text.lstrip("-")) > MAX_DIGITS else int(text)
 
 
 def _load_document() -> dict:
@@ -174,9 +173,9 @@ def _load_document() -> dict:
         )
     try:
         # Numbers keep their literal text, so parse_rational reads them
-        # exactly instead of through a binary float; so do integers past
-        # int()'s digit limit and the constants NaN, Infinity and -Infinity,
-        # so that the CLI names what is wrong with them as written.
+        # exactly instead of through a binary float; so do integers of more
+        # than MAX_DIGITS digits and the constants NaN, Infinity and
+        # -Infinity, so that the CLI names what is wrong with them as written.
         document = json.load(sys.stdin, parse_float=str, parse_int=_json_int, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON request document: {exc}") from None

@@ -28,7 +28,9 @@ ExtendedRational = Fraction | float
 HALF = Fraction(1, 2)
 
 # Largest decimal exponent magnitude parse_rational accepts (Fraction builds
-# 10**exponent), and CPython's default digit limit on each number in the text.
+# 10**exponent), and the most digits of any number in the text, counted as
+# int() counts them (not signs or underscores) on the text itself, so the
+# limit holds whatever the interpreter's int_max_str_digits setting.
 MAX_EXPONENT = MAX_DIGITS = 4300
 
 # Fraction's string grammar (CPython 3.11), parsed by parse_ratio.
@@ -39,8 +41,8 @@ _RATIONAL = re.compile(
     re.IGNORECASE,
 )
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-# Over MAX_DIGITS digits, maybe split by underscores; compiled on the error path.
-_LONG_NUMBER = r"\d(?:_?\d){%d}" % MAX_DIGITS
+# One number's digits, maybe split by single underscores.
+_NUMBER = re.compile(r"\d(?:_?\d)*")
 
 # Sort key of (numerator, denominator > 0) int pairs by value; its keys
 # compare, and test equal, by cross-multiplying.
@@ -51,11 +53,9 @@ _DECIMAL_DIGITS = 12
 _DECIMAL_SCALE = 10**_DECIMAL_DIGITS
 
 
-def _exponent_in_range(exponent: str) -> bool:
-    try:
-        return abs(int(exponent)) <= MAX_EXPONENT
-    except ValueError:  # more digits than int() converts: far out of range
-        return False
+def _digits(number: str) -> int:
+    """The digits int() counts in a number's text: not its sign or underscores."""
+    return len(number.lstrip("+-")) - number.count("_")
 
 
 def parse_ratio(text: str) -> tuple[int, int]:
@@ -64,7 +64,9 @@ def parse_ratio(text: str) -> tuple[int, int]:
     "0.40" -> (40, 100).  The value never passes through a binary float.
 
     Raises ValueError on malformed text, a zero denominator, a number of
-    more than MAX_DIGITS digits or an exponent beyond MAX_EXPONENT.
+    more than MAX_DIGITS digits or an exponent beyond MAX_EXPONENT.  Digits
+    are counted on the text in one linear pass before any int() call; a
+    text of MAX_DIGITS characters or fewer cannot hold a longer number.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
@@ -74,18 +76,15 @@ def parse_ratio(text: str) -> tuple[int, int]:
     else:
         exponent = (found := _EXPONENT.search(text)) and found[1]
     # Checked first, on malformed text too; Fraction would build 10**exponent.
-    if exponent and not _exponent_in_range(exponent):
+    if exponent and (_digits(exponent) > MAX_DIGITS or abs(int(exponent)) > MAX_EXPONENT):
         raise ValueError(f"exponent of rational {text!r} exceeds {MAX_EXPONENT} in magnitude")
-    try:
-        if match is None:
-            raise ValueError
-        num, den = int(num or "0"), int(den or "1")
-        if decimal := (decimal or "").replace("_", ""):
-            num, den = num * 10 ** len(decimal) + int(decimal), 10 ** len(decimal)
-    except ValueError:
-        if re.search(_LONG_NUMBER, text):
-            raise ValueError(f"rational {text!r} has a number over {MAX_DIGITS} digits") from None
-        raise ValueError(f"malformed rational {text!r}") from None
+    if len(text) > MAX_DIGITS and max(map(_digits, _NUMBER.findall(text)), default=0) > MAX_DIGITS:
+        raise ValueError(f"rational {text!r} has a number over {MAX_DIGITS} digits")
+    if match is None:
+        raise ValueError(f"malformed rational {text!r}")
+    num, den = int(num or "0"), int(den or "1")
+    if decimal := (decimal or "").replace("_", ""):
+        num, den = num * 10 ** len(decimal) + int(decimal), 10 ** len(decimal)
     if den == 0:
         raise ValueError(f"zero denominator in rational {text!r}")
     if exponent:

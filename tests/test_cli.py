@@ -899,6 +899,51 @@ class TestStdinDocument:
         assert err == f"error: {reason}, got {sign}{'9' * 4300}\n"
 
 
+class TestOwnDigitLimit:
+    # The 4,300-digit limit is counted on the text by rationals, so it holds
+    # with CPython's int_max_str_digits limit switched off.
+    PAIR = ["--target", "0.5,0.25,0.25,0"]
+
+    @pytest.mark.parametrize(
+        "argv,stdin,message",
+        [
+            (
+                ["check-locc", "--source", "1" * 4301 + "/1" + "0" * 4301 + ",0.5,0.25,0.25", *PAIR],
+                None,
+                "has a number over 4300 digits\n",
+            ),
+            (
+                ["analyze", "--source", "1e" + "0" * 4297 + "1234" + ",0.5,0.25,0.25", *PAIR],
+                None,
+                "exceeds 4300 in magnitude\n",
+            ),
+            (
+                ["analyze"],
+                '{"source": [' + "1" * 4301 + ', "0", "0", "0"], "target": ["1", "0", "0", "0"]}',
+                "has a number over 4300 digits\n",
+            ),
+        ],
+        ids=["numerator", "exponent", "document-integer"],
+    )
+    def test_same_with_the_interpreter_limit_off(self, argv, stdin, message):
+        env = child_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        runs = []
+        for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}):
+            done = subprocess.run(
+                [sys.executable, "-m", "qcatalyst.cli", *argv],
+                input=stdin,
+                capture_output=True,
+                env={**env, **limit},
+                text=True,
+                timeout=60,
+            )
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, out) == (1, "") and err.endswith(message)
+
+
 HELP_GOLDEN = json.loads((Path(__file__).with_name("cli_help_golden.json")).read_text())
 
 

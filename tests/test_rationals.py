@@ -1,5 +1,6 @@
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,14 @@ class TestParseRational:
         # CPython refuses to read an int of more than 4,300 digits.
         with pytest.raises(ValueError, match="has a number over 4300 digits"):
             parse_rational(text)
+
+    def test_digit_runs_counted_in_linear_time(self):
+        # 50 runs of 4,300 digits (215 KB): a search for a 4,301-digit run
+        # from every position took 13 s.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_rational(("1" * 4300 + "x") * 50)
+        assert time.perf_counter() - start < 1
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
@@ -148,6 +157,12 @@ class TestIntParser:
     @example("1.d")
     @example("\u0663/\u0665")
     @example("1" * 4301 + "e9999")
+    # Digits are counted as int() counts them: a long text with no digit,
+    # whitespace, an exponent's sign and underscores are not digits.
+    @example("x" * 4301)
+    @example(" " * 4301 + "1")
+    @example("1e+" + "0" * 4296 + "4300")
+    @example("1" + "_1" * 4299)
     def test_pinned_to_parse_rational_and_fraction(self, text):
         expected = outcome(fraction_parse, text)
         assert outcome(parse_rational, text) == expected
