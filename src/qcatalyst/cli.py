@@ -58,7 +58,6 @@ from .spectra import (
     CatalystSpectrum,
     Spectrum4,
     _slacks,
-    make_catalyst,
     make_spectrum,
     two_qubit_catalyst,
 )
@@ -258,17 +257,19 @@ def _catalyst(request: dict) -> CatalystSpectrum:
     if "catalyst" in request:
         raw = _array(request["catalyst"], "catalyst")
         # Parsed here, not in make_catalyst: a parse error names the key, a
-        # check error does not.  The work is capped before make_catalyst
-        # scales every numerator to the common denominator, and parsing
-        # stops at the first component whose lcm step is over the cap.
-        values, den = [], 1
+        # check error does not.  Each component is read once, as its reduced
+        # int pair, and the catalyst is built from the pairs.  The work is
+        # capped before the catalyst scales every numerator to the common
+        # denominator, and parsing stops at the first component whose lcm
+        # step is over the cap.
+        pairs, den = [], 1
         for text in raw:
-            values.append(value := _rational(text, "catalyst"))
-            den = lcm(den, value.denominator)
+            pairs.append(pair := _rational(text, "catalyst").as_integer_ratio())
+            den = lcm(den, pair[1])
             if len(raw) * (bits := den.bit_length()) > MAX_CATALYST_BITS:
                 raise InputError(f"catalyst: {len(raw)} components times {bits} or more bits "
                                  f"of their common denominator exceed {MAX_CATALYST_BITS}")
-        return make_catalyst(values)
+        return CatalystSpectrum._of(pairs)
     return two_qubit_catalyst(_rational(request["p"], "p"))
 
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product, starmap
 from math import gcd
+from operator import mul
 
 from .majorization import is_majorized_by
 from .rationals import ratio_key, value_text
@@ -51,7 +52,7 @@ _DENOMINATOR_RULE = f"grid denominator must be a positive integer up to {MAX_GRI
 
 def _products(alpha: Sequence[int], kappa: Sequence[int]) -> list[int]:
     """All products a * k of two integer vectors, sorted descending."""
-    return sorted([a * k for a in alpha for k in kappa], reverse=True)
+    return sorted(starmap(mul, product(alpha, kappa)), reverse=True)
 
 
 def augment(state: Spectrum4, catalyst: CatalystSpectrum) -> AugmentedSpectrum:

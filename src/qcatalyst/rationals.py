@@ -78,7 +78,10 @@ def parse_ratio(text: str) -> tuple[int, int]:
     # Checked first, on malformed text too; Fraction would build 10**exponent.
     if exponent and (_digits(exponent) > MAX_DIGITS or abs(int(exponent)) > MAX_EXPONENT):
         raise ValueError(f"exponent of rational {text!r} exceeds {MAX_EXPONENT} in magnitude")
-    if len(text) > MAX_DIGITS and max(map(_digits, _NUMBER.findall(text)), default=0) > MAX_DIGITS:
+    runs = _NUMBER.findall(text) if len(text) > MAX_DIGITS else ()
+    # A run's length bounds its digits: _digits reads the runs of a text
+    # only when one of them is long, not once per run of every long text.
+    if runs and max(map(len, runs)) > MAX_DIGITS and max(map(_digits, runs)) > MAX_DIGITS:
         raise ValueError(f"rational {text!r} has a number over {MAX_DIGITS} digits")
     if match is None:
         raise ValueError(f"malformed rational {text!r}")

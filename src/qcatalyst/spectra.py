@@ -126,6 +126,9 @@ class _Scaled(_Frozen):
     def _key(self) -> tuple[tuple[int, ...], int]:
         return self.scaled
 
+    def __hash__(self) -> int:
+        return hash(self.scaled)
+
     @classmethod
     def _unchecked(cls, scaled: tuple[tuple[int, ...], int]) -> _Scaled:
         """The value holding ``scaled``, built without a subclass's checks."""
@@ -168,7 +171,7 @@ class _Canonical(_Scaled):
         cls._check_length(len(pairs))
         nums, den = _integer_form(pairs)
         nums.sort(reverse=True)
-        return cls._unchecked(cls._checked(nums, den))
+        return cls._unchecked(cls._checked(nums, den, given_order=False))
 
     @classmethod
     def _from_form(cls, nums: list[int], den: int) -> _Canonical:
@@ -177,12 +180,13 @@ class _Canonical(_Scaled):
         return cls._unchecked(cls._checked([n // g for n in nums], den // g))
 
     @classmethod
-    def _checked(cls, nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    def _checked(cls, nums: list[int], den: int, given_order=True) -> tuple[tuple[int, ...], int]:
         """Raise unless nums over den are nonnegative, sorted descending and
-        sum to 1; return them as ``scaled``."""
+        sum to 1; return them as ``scaled``.  The order is checked only when
+        it is given: _of sorts the numerators itself."""
         if min(nums) < 0:
             raise ValueError(f"{cls._what} components must be nonnegative")
-        if nums != sorted(nums, reverse=True):
+        if given_order and nums != sorted(nums, reverse=True):
             raise ValueError(f"{cls._what} components must be sorted descending")
         if (total := sum(nums)) != den:
             shown = value_text(Fraction(total, den))

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcatalyst import (
@@ -240,6 +240,13 @@ class TestAgainstFractionReference:
 
     @given(vector_pairs())
     @settings(max_examples=400)
+    @example(pair=([], []))
+    @example(pair=([F(1), F(0)], [F(1, 2), F(1, 2)]))  # violated at k = 1
+    # Equal totals never differ at k = n, so k = n - 1 is the last index a
+    # violation can reach.
+    @example(pair=([F(3, 10)] * 3 + [F(1, 10)], [F(2, 5), F(1, 4), F(1, 5), F(3, 20)]))
+    @example(pair=([F(1), F(0)], [F(1, 2), F(1, 4)]))  # total mismatch, k = 1 violated
+    @example(pair=([F(1)], [F(1, 2), F(1, 4)]))  # length and total mismatch
     def test_first_violated_index(self, pair):
         a, b = pair
         expected = _outcome(_reference_first_violated, a, b)

@@ -151,6 +151,15 @@ def fractions_built(fn, *args) -> int:
     return fraction_calls("__new__", fn, *args)
 
 
+def python_calls(fn, *args) -> int:
+    """How many Python-level function calls one call of fn(*args) makes,
+    itself included, under cProfile; built-ins are not counted."""
+    profile = cProfile.Profile()
+    profile.runcall(fn, *args)
+    return sum(calls for (path, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if path != "~")
+
+
 def violation_or_message(a, b):
     """first_violated_index(a, b), or the message of its ValueError."""
     try:
@@ -221,6 +230,34 @@ class TestOnTheIntegers:
         assert fractions_built(oracle_valid_catalyst, CAT_SOURCE, CAT_TARGET, catalyst) == 0
         # The count sees Fractions where they are made: when the products are read.
         assert fractions_built(tuple, augment(CAT_SOURCE, catalyst)) == 8
+
+    def test_python_calls_per_check(self):
+        # The referee: oracle_valid_catalyst, augment and _products twice
+        # (no comprehension frame) with an AugmentedSpectrum.__init__ each,
+        # is_majorized_by and first_violated_index, which reads each
+        # spectrum's scaled itself (13 with a _products comprehension and a
+        # _scaled per spectrum).  The cached rule hashes each spectrum in one
+        # frame (10 when __hash__ called _key).
+        p = F(3, 5)
+        catalyst = two_qubit_catalyst(p)
+        assert python_calls(oracle_valid_catalyst, CAT_SOURCE, CAT_TARGET, catalyst) == 9
+        assert is_valid_catalyst(CAT_SOURCE, CAT_TARGET, p)
+        assert python_calls(is_valid_catalyst, CAT_SOURCE, CAT_TARGET, p) == 8
+
+    def test_validate_catalyst_request_reads_each_component_once(self):
+        # Each component is parsed once, by parse_rational, and read as its
+        # reduced int pair, from which the catalyst is built; none goes back
+        # through _as_pair (3 calls when make_catalyst read the parsed
+        # Fractions back).  The request builds the 3 component Fractions and
+        # analyze's m and M: 5, as before.
+        components = ["0.5", "0.3", "0.2"]
+        profile = cProfile.Profile()
+        profile.runcall(cli._catalyst, {"catalyst": components})
+        assert sum(calls for (_, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+                   if name == "_as_pair") == 0
+        argv = ["validate", "--source", "0.4,0.4,0.1,0.1", "--target", "0.5,0.25,0.25,0"]
+        analyze.cache_clear()
+        assert fractions_built(cli_quietly, [*argv, "--catalyst", ",".join(components)]) == 5
 
     def test_slack_decomposition_builds_a_fraction_per_slack(self):
         # One reduced Fraction per slack of a returned triple, none on a violation.

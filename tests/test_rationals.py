@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 import re
 import sys
 import time
@@ -66,6 +68,17 @@ class TestParseRational:
         with pytest.raises(ValueError, match="malformed rational"):
             parse_rational(("1" * 4300 + "x") * 50)
         assert time.perf_counter() - start < 1
+
+    def test_short_digit_runs_are_not_counted_one_by_one(self):
+        # A million one-digit runs (2 MB): no run is long, so _digits is
+        # never called (once per run, 1,000,000 calls, before the C-level
+        # length prefilter).
+        profile = cProfile.Profile()
+        with pytest.raises(ValueError, match="malformed rational"):
+            profile.runcall(parse_ratio, "1 " * 1_000_000)
+        calls = [n for (_, _, name), (_, n, *_) in pstats.Stats(profile).stats.items()
+                 if name == "_digits"]
+        assert sum(calls) == 0
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):

@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 from fractions import Fraction
 from math import gcd
 
@@ -276,6 +278,23 @@ class TestOnTheInts:
     )
     def test_messages(self, build, texts, message):
         assert built_or_message(build, texts) == message
+
+    def test_given_orders_are_checked(self):
+        # Only __init__ and _from_form take the order as given; _of sorts.
+        with pytest.raises(ValueError, match="spectrum components must be sorted descending"):
+            Spectrum4._from_form([1, 2, 1, 0], 4)
+        with pytest.raises(ValueError, match="catalyst components must be sorted descending"):
+            CatalystSpectrum((Fraction(1, 3), Fraction(2, 3)))
+
+    def test_make_spectrum_sorts_once(self):
+        # _of sorts the numerators, and _checked no longer sorts a copy to
+        # test the order (2 sorts at the parent of this change).
+        profile = cProfile.Profile()
+        profile.runcall(make_spectrum, ["0.1", "0.4", "0.1", "0.4"])
+        names = ("<built-in method builtins.sorted>", "<method 'sort' of 'list' objects>")
+        sorts = [calls for (_, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+                 if name in names]
+        assert sum(sorts) == 1
 
     def test_reduced_over_the_unreduced_texts(self):
         assert make_spectrum(["0.40", "4/10", "2/20", "0.1"]).scaled == ((4, 4, 1, 1), 10)
