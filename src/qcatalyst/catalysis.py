@@ -92,13 +92,22 @@ class FeasibilityReport(_Frozen):
             return None
         return (self.m, self.M)
 
+    def _p_ends(self) -> tuple[tuple[int, int], tuple[int, int]] | None:
+        """The feasible p-interval [1/(1+M), 1/(1+m)] as int pairs in lowest
+        terms, ((D, N+D), (d, n+d)) for m = n/d and M = N/D, when
+        catalyzable: p = d/(n+d) for r = n/d.  r = (1-p)/p decreases in p,
+        so the ends swap; kept in one place because that inversion is a
+        perennial hazard."""
+        if self.verdict is not Verdict.CATALYZABLE:
+            return None
+        (n, d), (N, D) = self.m.as_integer_ratio(), self.M.as_integer_ratio()
+        return (D, N + D), (d, n + d)
+
     @property
     def p_interval(self) -> tuple[Fraction, Fraction] | None:
-        """The feasible p-interval [1/(1+M), 1/(1+m)], within [1/2, 1)
-        (_p_ends)."""
-        if (r := self.r_interval) is None:
-            return None
-        return tuple(Fraction(*end) for end in _p_ends(*[b.as_integer_ratio() for b in r]))
+        """The feasible p-interval, within [1/2, 1): _p_ends as Fractions."""
+        ends = self._p_ends()
+        return None if ends is None else tuple(Fraction(*end) for end in ends)
 
 
 def _lower_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int]:
@@ -142,14 +151,6 @@ def _triple_bounds(alpha: Spectrum4, eps: EpsilonTriple) -> tuple[tuple[int, int
     lcm den, then over den times the source's denominator."""
     slacks, den = _integer_form([e.as_integer_ratio() for e in eps._args()])
     return _bounds(alpha, [e * alpha.scaled[1] for e in slacks], den * alpha.scaled[1])
-
-
-def _p_ends(m: tuple[int, int], M: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The p-interval [1/(1+M), 1/(1+m)] of finite bounds in lowest terms:
-    p = d/(n+d) for r = n/d, in lowest terms too.  r = (1-p)/p decreases in
-    p, so the ends swap; kept in one place because that inversion is a
-    perennial hazard."""
-    return (M[1], M[0] + M[1]), (m[1], m[0] + m[1])
 
 
 def compute_m(alpha: Spectrum4, eps: EpsilonTriple) -> ExtendedRational:

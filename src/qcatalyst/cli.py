@@ -30,7 +30,6 @@ from math import gcd, lcm
 from .catalysis import (
     Verdict,
     _bounds,
-    _p_ends,
     analyze,
     is_valid_catalyst,
 )
@@ -224,14 +223,13 @@ def _cmd_check_locc(request: dict) -> dict:
 
 
 def _cmd_analyze(request: dict) -> dict:
-    """The analyze report, rendered from the bounds' int pairs."""
+    """The analyze report: each bound rendered once, and the p-interval from
+    the report's int ends."""
     report = analyze(*_spectrum_pair(request))
     verdict, reason = report.verdict, None
-    r_interval = p_interval = None
-    if verdict is Verdict.CATALYZABLE:
-        bounds = report.m.as_integer_ratio(), report.M.as_integer_ratio()
-        r_interval = [_ratio_field(*end) for end in bounds]
-        p_interval = [_ratio_field(*end) for end in _p_ends(*bounds)]
+    # Read only when catalyzable: _p_ends would compare m and M again.
+    ends = report._p_ends() if verdict is Verdict.CATALYZABLE else None
+    m, M = [None if b is None else _rational_field(b) for b in (report.m, report.M)]
     violation = report.star_violation
     if violation is not None:
         reason = {
@@ -243,10 +241,10 @@ def _cmd_analyze(request: dict) -> dict:
         reason = {"kind": "empty_interval"}
     return {
         "verdict": verdict.value,
-        "m": None if report.m is None else _rational_field(report.m),
-        "M": None if report.M is None else _rational_field(report.M),
-        "r_interval": r_interval,
-        "p_interval": p_interval,
+        "m": m,
+        "M": M,
+        "r_interval": None if ends is None else [m, M],
+        "p_interval": None if ends is None else [_ratio_field(*end) for end in ends],
         "reason": reason,
     }
 
@@ -302,12 +300,10 @@ def _cmd_sweep(request: dict) -> list[str]:
     """oracle.sweep over sweep_grid, rendered, on the ints: no Fraction and
     no function call per row."""
     source, target = _spectrum_pair(request)
-    interval = analyze(source, target).r_interval
     d = request.get("grid_denominator", 1000)
     if d is None or type(d) is bool:
         raise InputError(f"{_DENOMINATOR_RULE}, got {_document_text(d)}")
-    ends = _p_ends(*[b.as_integer_ratio() for b in interval]) if interval else ()
-    first, extras = _grid_layout(d, ends)
+    first, extras = _grid_layout(d, analyze(source, target)._p_ends() or ())
     pieces = _p_set(source, target)
     # A piece [lo, hi] holds the lattice rows k/d from ceil(lo d) to
     # floor(hi d), so the verdict flips only at those edges (and 1/1 is
