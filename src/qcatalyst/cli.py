@@ -74,6 +74,11 @@ EXIT_INCONSISTENT = 2
 # them (CPython 3.11.7, 2 cores).
 MAX_CATALYST_BITS = 1 << 17
 
+# Longest stdin request document, in characters.  The document is read up to
+# one character past it, so that endless input (`yes | qcatalyst analyze`)
+# is refused in bounded memory; a pair of 4,300-digit spectra is about 80 KB.
+_MAX_DOCUMENT_CHARS = 1 << 24
+
 
 class InputError(Exception):
     """Malformed flags or request document."""
@@ -169,12 +174,15 @@ def _load_document() -> dict:
             f"missing flags and standard input is {state}; "
             "pass flags or pipe a JSON request document"
         )
+    text = sys.stdin.read(_MAX_DOCUMENT_CHARS + 1)
+    if len(text) > _MAX_DOCUMENT_CHARS:
+        raise InputError(f"request document is longer than {_MAX_DOCUMENT_CHARS} characters")
     try:
         # Numbers keep their literal text, so parse_rational reads them
         # exactly instead of through a binary float; so do integers of more
         # than MAX_DIGITS digits and the constants NaN, Infinity and
         # -Infinity, so that the CLI names what is wrong with them as written.
-        document = json.load(sys.stdin, parse_float=str, parse_int=_json_int, parse_constant=str)
+        document = json.loads(text, parse_float=str, parse_int=_json_int, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON request document: {exc}") from None
     except RecursionError:
@@ -437,17 +445,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.parse_args(argv)
         sub, handler, required = parser.commands[argv[0]]
         result = handler(_request(sub.parse_args(argv[1:]), required))
+        # With file descriptor 1 closed (`>&-`) Python sets sys.stdout to None.
+        if sys.stdout is None:
+            raise InputError("standard output is closed; nothing can be written")
         is_report = isinstance(result, dict)
-        print(_json_text(result) if is_report else "\n".join(result))
         # A reader that went away must surface here, not at interpreter exit.
-        sys.stdout.flush()
+        print(_json_text(result) if is_report else "\n".join(result), flush=True)
     except (InputError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except BrokenPipeError:
-        # Python's documented recipe: point stdout at devnull so that the
-        # flush at exit does not fail a second time.
+    except OSError as exc:
+        # Python's documented recipe for a reader that went away: point
+        # stdout at devnull so that the flush at exit does not fail a second
+        # time.  Any other write error (a full disk) is named, too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if is_report and result.get("agree") is False:
         print(

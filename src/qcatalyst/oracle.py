@@ -160,7 +160,7 @@ def sweep(
     return list(zip(grid, p_set_verdicts(_p_set(source, target), points)))
 
 
-def _grid_layout(denominator: int, ends: Iterable[tuple[int, int]] = ()) -> tuple[int, list]:
+def _grid_layout(denominator: int, ends: Iterable[tuple[int, int]]) -> tuple[int, list]:
     """sweep_grid's points, laid out on the ints: the lattice k/denominator
     for k from first to denominator, ascending, and each point a/b off it
     (1/2 and the ends, reduced int pairs, read after the denominator is

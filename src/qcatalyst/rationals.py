@@ -17,9 +17,10 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cmp_to_key
 
-# Upper bound of the catalyst-ratio interval can be unbounded; comparisons
-# between Fraction and math.inf are exact (CPython special-cases infinities),
-# and INFINITY is only ever compared, never added or multiplied.
+# The lower bound m of the catalyst-ratio interval is unbounded when
+# eps1 = 0 (the upper bound M is always below 1); comparisons between
+# Fraction and math.inf are exact (CPython special-cases infinities), and
+# INFINITY is only ever compared, never added or multiplied.
 INFINITY: float = math.inf
 
 ExtendedRational = Fraction | float

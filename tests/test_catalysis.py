@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcatalyst
 from qcatalyst import (
@@ -35,7 +36,7 @@ from qcatalyst.catalysis import _bounds, _lower_bound
 from qcatalyst.rationals import ratio_key
 from qcatalyst.spectra import _slacks
 
-from support import catalyst_params, child_env, spectra, star_pairs
+from support import catalyst_params, child_env, coprime_star_pairs, spectra, star_pairs
 
 F = Fraction
 
@@ -493,6 +494,23 @@ class TestReportInvariants:
             assert is_valid_catalyst(source, target, hi)
         else:
             assert report.m > report.M
+
+    @given(
+        st.one_of(
+            star_pairs(),
+            star_pairs(feasible_leaning=True),
+            coprime_star_pairs(),
+            coprime_star_pairs(feasible_leaning=True),
+        )
+    )
+    def test_p_ends_are_the_p_interval_in_lowest_terms(self, pair):
+        report = analyze(*pair)
+        ends = report._p_ends()
+        assert (ends is None) == (report.p_interval is None)
+        if ends is not None:
+            # as_integer_ratio is in lowest terms with a positive denominator.
+            assert ends == tuple(x.as_integer_ratio() for x in report.p_interval)
+            assert report.p_interval == (1 / (1 + report.M), 1 / (1 + report.m))
 
     @pytest.mark.parametrize(
         "fields",

@@ -5,7 +5,9 @@ import fractions
 import importlib.util
 import io
 import json
+import os
 import pstats
+import resource
 import subprocess
 import sys
 import time
@@ -227,6 +229,30 @@ class TestAnalyze:
         )
         assert done.returncode == 1 and done.stdout == ""
         assert "exceeds 4300" in done.stderr and "Traceback" not in done.stderr
+
+    @given(
+        st.one_of(
+            star_pairs(),
+            star_pairs(feasible_leaning=True),
+            coprime_star_pairs(),
+            coprime_star_pairs(feasible_leaning=True),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_r_interval_lists_the_bound_fields(self, pair):
+        source, target = pair
+        argv = ["analyze", "--source", ",".join(map(render_rational, source))]
+        doc = json.loads(stdout_of([*argv, "--target", ",".join(map(render_rational, target))]))
+        report = analyze(source, target)
+        if report.p_interval is None:
+            assert doc["r_interval"] is None and doc["p_interval"] is None
+            return
+        # Each field as the bound's own int pair renders it.
+        fields = [cli._ratio_field(*b.as_integer_ratio()) for b in report.r_interval]
+        assert doc["r_interval"] == [doc["m"], doc["M"]] == fields
+        assert [end["exact"] for end in doc["p_interval"]] == [
+            render_rational(end) for end in report.p_interval
+        ]
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, ["analyze", *CATALYZABLE])
@@ -897,6 +923,69 @@ class TestStdinDocument:
         assert (code, out) == (1, "")
         reason = "grid denominator must be a positive integer up to 100000"
         assert err == f"error: {reason}, got {sign}{'9' * 4300}\n"
+
+
+class TestBoundedIO:
+    # A document of exactly the cap, mostly leading whitespace.
+    DOCUMENT = '{"source": ["1", "0", "0", "0"], "target": ["1", "0", "0", "0"]}'
+
+    def test_document_at_the_cap_is_read(self, capsys, monkeypatch):
+        stdin = " " * (cli._MAX_DOCUMENT_CHARS - len(self.DOCUMENT)) + self.DOCUMENT
+        code, out, _ = run(capsys, ["analyze"], stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["verdict"] == "locc_already_possible"
+
+    def test_document_over_the_cap_is_refused(self, capsys, monkeypatch):
+        stdin = " " * (cli._MAX_DOCUMENT_CHARS + 1 - len(self.DOCUMENT)) + self.DOCUMENT
+        code, out, err = run(capsys, ["analyze"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == f"error: request document is longer than {cli._MAX_DOCUMENT_CHARS} characters\n"
+
+    def test_endless_document_is_refused_in_bounded_memory(self):
+        # `yes | qcatalyst analyze`: read to its end, more spaces than the
+        # child's address space holds end in a MemoryError.
+        limit = 128 << 20
+        chunk = b" " * (1 << 20)
+        with subprocess.Popen(
+            [sys.executable, "-m", "qcatalyst.cli", "analyze"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+            env=child_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        ) as proc:
+            # The child stops reading once it has refused the document.
+            with contextlib.suppress(BrokenPipeError):
+                for _ in range(2 * limit // len(chunk)):
+                    proc.stdin.write(chunk)
+                proc.stdin.close()
+            out, err = proc.stdout.read(), proc.stderr.read()
+        assert (proc.returncode, out) == (1, b"")
+        message = f"error: request document is longer than {cli._MAX_DOCUMENT_CHARS} characters\n"
+        assert err.decode() == message
+
+    def unwritable_stdout(self, **options) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "qcatalyst.cli", "analyze", *CATALYZABLE],
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            text=True,
+            timeout=60,
+            **options,
+        )
+
+    def test_closed_stdout_is_input_error(self):
+        # `qcatalyst analyze ... >&-`: Python sets sys.stdout to None.
+        done = self.unwritable_stdout(preexec_fn=lambda: os.close(1))
+        assert done.returncode == 1
+        assert done.stderr == "error: standard output is closed; nothing can be written\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_input_error(self):
+        with open("/dev/full", "w") as full:
+            done = self.unwritable_stdout(stdout=full)
+        assert done.returncode == 1
+        assert done.stderr == "error: [Errno 28] No space left on device\n"
 
 
 class TestOwnDigitLimit:
