@@ -76,7 +76,7 @@ MAX_CATALYST_BITS = 1 << 17
 
 # Longest stdin request document, in characters.  The document is read up to
 # one character past it, so that endless input (`yes | qcatalyst analyze`)
-# is refused in bounded memory; a pair of 4,300-digit spectra is about 80 KB.
+# is refused in bounded memory; a pair of 4,300-digit spectra is about 70 KB.
 _MAX_DOCUMENT_CHARS = 1 << 24
 
 
@@ -457,7 +457,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         # Python's documented recipe for a reader that went away: point
         # stdout at devnull so that the flush at exit does not fail a second
-        # time.  Any other write error (a full disk) is named, too.
+        # time.  Any other error writing stdout (a full disk), or reading
+        # the stdin document, is named.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)

@@ -926,7 +926,7 @@ class TestStdinDocument:
 
 
 class TestBoundedIO:
-    # A document of exactly the cap, mostly leading whitespace.
+    # Padded with leading spaces to the cap, or to one character past it.
     DOCUMENT = '{"source": ["1", "0", "0", "0"], "target": ["1", "0", "0", "0"]}'
 
     def test_document_at_the_cap_is_read(self, capsys, monkeypatch):
