@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, cycle
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import gcd
 
 from .catalysis import (
     Verdict,
@@ -48,15 +48,14 @@ from .rationals import (
     MAX_DIGITS,
     ExtendedRational,
     decimal_text,
-    parse_rational,
     ratio_text,
     render_decimal,
     render_rational,
 )
 from .spectra import (
-    CatalystSpectrum,
     Spectrum4,
     _slacks,
+    make_catalyst,
     make_spectrum,
     two_qubit_catalyst,
 )
@@ -64,15 +63,6 @@ from .spectra import (
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INCONSISTENT = 2
-
-# Largest catalyst validate reads, as its component count times the bit
-# length of its common denominator: the oracle's work grows with both, and
-# a small document of distinct denominators has a huge common one.  1,000
-# components of 1/1000 use 10,000, and two at the 4,300-digit limit about
-# 28,600.  3,200 components over 1,600 distinct 5-digit primes (a 55 KB
-# document) use 72 million; unchecked, validate took 2.3 s and 164 MB on
-# them (CPython 3.11.7, 2 cores).
-MAX_CATALYST_BITS = 1 << 17
 
 # Longest stdin request document, in characters.  The document is read up to
 # one character past it, so that endless input (`yes | qcatalyst analyze`)
@@ -136,16 +126,10 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _document_text(value) -> str:
-    """A document value that is not a string as text: JSON's literals as
-    the document wrote them, anything else as str() writes it."""
+    """A document value as the text the library reads: JSON's literals as
+    the document wrote them, anything else as str() writes it (a string
+    unchanged)."""
     return _json_text(value) if value is None or type(value) is bool else str(value)
-
-
-def _rational(value, label: str) -> Fraction:
-    try:
-        return parse_rational(value if type(value) is str else _document_text(value))
-    except ValueError as exc:
-        raise InputError(f"{label}: {exc}") from None
 
 
 def _array(values, label: str) -> list:
@@ -163,8 +147,13 @@ def _spectrum(values, label: str) -> Spectrum4:
 
 
 def _json_int(text: str) -> int | str:
-    """A JSON integer as an int, or as its text past MAX_DIGITS digits."""
+    """A JSON integer, or an integer flag, as an int, or as its text past
+    MAX_DIGITS digits."""
     return text if len(text.lstrip("-")) > MAX_DIGITS else int(text)
+
+
+# argparse names a flag's converter in its error: "invalid int value: 'x'".
+_json_int.__name__ = "int"
 
 
 def _load_document() -> dict:
@@ -257,26 +246,12 @@ def _cmd_analyze(request: dict) -> dict:
     }
 
 
-def _catalyst(request: dict) -> CatalystSpectrum:
+def _catalyst(request: dict):
     if ("catalyst" in request) == ("p" in request):
         raise InputError("provide exactly one of --catalyst or --p (or a document key)")
     if "catalyst" in request:
-        raw = _array(request["catalyst"], "catalyst")
-        # Parsed here, not in make_catalyst: a parse error names the key, a
-        # check error does not.  Each component is read once, as its reduced
-        # int pair, and the catalyst is built from the pairs.  The work is
-        # capped before the catalyst scales every numerator to the common
-        # denominator, and parsing stops at the first component whose lcm
-        # step is over the cap.
-        pairs, den = [], 1
-        for text in raw:
-            pairs.append(pair := _rational(text, "catalyst").as_integer_ratio())
-            den = lcm(den, pair[1])
-            if len(raw) * (bits := den.bit_length()) > MAX_CATALYST_BITS:
-                raise InputError(f"catalyst: {len(raw)} components times {bits} or more bits "
-                                 f"of their common denominator exceed {MAX_CATALYST_BITS}")
-        return CatalystSpectrum._of(pairs)
-    return two_qubit_catalyst(_rational(request["p"], "p"))
+        return make_catalyst(map(_document_text, _array(request["catalyst"], "catalyst")))
+    return two_qubit_catalyst(_document_text(request["p"]))
 
 
 def _cmd_validate(request: dict) -> dict:
@@ -338,10 +313,8 @@ def _cmd_sweep(request: dict) -> list[str]:
 
 def _cmd_construct(request: dict) -> dict:
     _require(request, "m0", "M0")
-    m0 = _rational(request["m0"], "m0")
-    big_m0 = _rational(request["M0"], "M0")
-    mu = _rational(request["mu"], "mu") if "mu" in request else None
-    result = construct_states(m0, big_m0, mu)
+    mu = _document_text(request["mu"]) if "mu" in request else None
+    result = construct_states(_document_text(request["m0"]), _document_text(request["M0"]), mu)
     (alpha, den_s), (beta, den_t) = result.source.scaled, result.target.scaled
     # The bounds recomputed from the pair on the ints, as analyze does;
     # eps1 = mu a > 0, so m is finite.
@@ -419,7 +392,7 @@ def _build_parser() -> _Parser:
         "--denominator",
         dest="grid_denominator",
         metavar="DENOMINATOR",
-        type=int,
+        type=_json_int,
         help="grid denominator d (default 1000)",
     )
 

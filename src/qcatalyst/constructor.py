@@ -57,15 +57,18 @@ class ConstructionResult(_Frozen):
         return self.target[0]
 
 
-def _targets(m0: Fraction, M0: Fraction) -> tuple[int, int, int, int]:
-    """(p, r, P, Q) with m0 = p/r and M0 = P/Q in lowest terms; raises
-    unless m0 > 0 and 0 < M0 < 1."""
-    (p, r), (P, Q) = _as_pair(m0), _as_pair(M0)
+def _targets(m0: Fraction, M0: Fraction, mu: Fraction | None = None) -> tuple:
+    """(p, r, P, Q, pinned) with m0 = p/r and M0 = P/Q in lowest terms and
+    pinned the pair of mu, or None; raises unless m0 > 0 and 0 < M0 < 1.
+    All three are read before either check, and a string's parse error
+    starts with "m0: ", "M0: " or "mu: "."""
+    (p, r), (P, Q) = _as_pair(m0, "m0"), _as_pair(M0, "M0")
+    pinned = None if mu is None else _as_pair(mu, "mu")
     if p <= 0:
         raise ValueError(f"m0 must be positive, got {value_text(Fraction(p, r))}")
     if not 0 < P < Q:
         raise ValueError(f"M0 must lie strictly between 0 and 1, got {value_text(Fraction(P, Q))}")
-    return p, r, P, Q
+    return p, r, P, Q, pinned
 
 
 def _bound(p: int, r: int, P: int, Q: int) -> tuple[int, int]:
@@ -79,7 +82,7 @@ def mu_admissible_bound(m0: Fraction, M0: Fraction) -> Fraction:
     with h = min(m0, 1)/2.  The default mu is bound / 2**(j+1), the first of
     bound/2, bound/4, ... within the five limits of the module docstring.
     """
-    return Fraction(*_bound(*_targets(m0, M0)))
+    return Fraction(*_bound(*_targets(m0, M0)[:4]))
 
 
 def _profile(p: int, r: int) -> tuple[Branch, int, int, int]:
@@ -119,15 +122,16 @@ def construct_states(
 
     m0, M0 and a pinned mu are Fractions, ints or strings, each read as
     one int pair in lowest terms (spectra._as_pair; a float or a bool
-    raises TypeError).  mu defaults to the closed-form choice of the module
+    raises TypeError), and a string's parse error starts with "m0: ",
+    "M0: " or "mu: ".  mu defaults to the closed-form choice of the module
     docstring; a pinned mu must be positive.  Either way the pair is
     verified, and a ValueError is raised if it breaks any invariant.  Raises
     ValueError when m0 <= 0 or M0 is outside (0, 1).  The pair is built and
     verified on the ints.
     """
-    p, r, P, Q = _targets(m0, M0)
+    p, r, P, Q, pinned = _targets(m0, M0, mu)
     branch, W, H, q = _profile(p, r)
-    U, V = _first_admissible_mu(p, r, P, Q, W, H, q) if mu is None else _as_pair(mu)
+    U, V = _first_admissible_mu(p, r, P, Q, W, H, q) if pinned is None else pinned
     mu = Fraction(U, V)
     if U <= 0:
         raise ValueError(f"mu must be positive, got {value_text(mu)}")

@@ -29,14 +29,28 @@ from math import gcd, lcm
 from .rationals import parse_ratio, value_text
 
 
-def _as_pair(value: Fraction | int | str) -> tuple[int, int]:
+# Largest catalyst make_catalyst reads, as its component count times the bit
+# length of its common denominator: the oracle's work grows with both, and
+# a small document of distinct denominators has a huge common one.  1,000
+# components of 1/1000 use 10,000, and two at the 4,300-digit limit about
+# 28,600.  3,200 components over 1,600 distinct 5-digit primes (a 55 KB
+# document) use 72 million; unchecked, validate took 2.3 s and 164 MB on
+# them (CPython 3.11.7, 2 cores).
+MAX_CATALYST_BITS = 1 << 17
+
+
+def _as_pair(value: Fraction | int | str, name: str = "") -> tuple[int, int]:
     """(numerator, denominator > 0) in lowest terms of an outside rational:
     every value the library reads enters here.  A string is parsed to ints
-    in lowest terms (parse_ratio, then one gcd) without a Fraction."""
+    in lowest terms (parse_ratio, then one gcd) without a Fraction; its
+    parse error reads "name: ..." when the caller names the value."""
     # str first: Fraction is an ABC, so isinstance(value, Fraction) costs
     # about ten times as much, and most values read are text.
     if isinstance(value, str):
-        num, den = parse_ratio(value)
+        try:
+            num, den = parse_ratio(value)
+        except ValueError as exc:
+            raise (ValueError(f"{name}: {exc}") if name else exc) from None
         g = gcd(num, den)
         return num // g, den // g
     if isinstance(value, Fraction):
@@ -65,8 +79,9 @@ def _require_fractions(values: Iterable, what: str) -> None:
 
 
 def _two_qubit_parameter(p: Fraction) -> tuple[int, int]:
-    """(k, d) with p = k/d in lowest terms; raises unless 1/2 <= p <= 1."""
-    k, d = _as_pair(p)
+    """(k, d) with p = k/d in lowest terms; raises unless 1/2 <= p <= 1.
+    A string's parse error starts with "p: "."""
+    k, d = _as_pair(p, "p")
     if not d <= 2 * k <= 2 * d:
         raise ValueError(
             f"two-qubit catalyst parameter must be in [1/2, 1], got {value_text(Fraction(k, d))}"
@@ -283,14 +298,30 @@ def make_spectrum(values: Iterable[Fraction | int | str]) -> Spectrum4:
 
 
 def make_catalyst(values: Iterable[Fraction | int | str]) -> CatalystSpectrum:
-    """Build a canonical catalyst spectrum from components in any order."""
-    return CatalystSpectrum._of([_as_pair(v) for v in values])
+    """Build a canonical catalyst spectrum from components in any order.
+
+    Raises ValueError when the component count times the bit length of the
+    components' common denominator exceeds MAX_CATALYST_BITS.  The
+    components are read one at a time, one lcm step each, and reading stops
+    at the first step over the cap, before the numerators are scaled to the
+    common denominator.  A string's parse error starts with "catalyst: ".
+    """
+    values = list(values)
+    pairs, den = [], 1
+    for value in values:
+        pairs.append(pair := _as_pair(value, "catalyst"))
+        den = lcm(den, pair[1])
+        if len(values) * (bits := den.bit_length()) > MAX_CATALYST_BITS:
+            raise ValueError(f"catalyst: {len(values)} components times {bits} or more bits "
+                             f"of their common denominator exceed {MAX_CATALYST_BITS}")
+    return CatalystSpectrum._of(pairs)
 
 
 def two_qubit_catalyst(p: Fraction) -> CatalystSpectrum:
     """The catalyst (p, 1-p) with 1/2 <= p <= 1.
 
-    Raises ValueError when p is outside [1/2, 1].
+    Raises ValueError when p is outside [1/2, 1]; a string's parse error
+    starts with "p: ".
     """
     k, d = _two_qubit_parameter(p)
     # Canonical by construction (d <= 2k <= 2d): CatalystSpectrum's check is skipped.

@@ -36,11 +36,6 @@ def composition4(rng: random.Random, total: int) -> tuple[int, int, int, int]:
     return (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], total - cuts[2])
 
 
-def random_spectrum(rng: random.Random, max_denominator: int = 60) -> Spectrum4:
-    d = rng.randint(4, max_denominator)
-    return make_spectrum(Fraction(x, d) for x in composition4(rng, d))
-
-
 def _pair_from_integers(
     parts: tuple[int, int, int, int], e1: int, e2: int, e3: int, d: int
 ) -> tuple[Spectrum4, Spectrum4]:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcatalyst.cli as cli
+import qcatalyst.spectra as spectra_module
 from qcatalyst import (
     StarViolation,
     analyze,
@@ -399,24 +400,29 @@ class TestValidate:
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert err.startswith(f"error: catalyst: {2 * n} components times ")
-        assert err.endswith(f"bits of their common denominator exceed {cli.MAX_CATALYST_BITS}\n")
+        assert err.endswith(
+            f"bits of their common denominator exceed {spectra_module.MAX_CATALYST_BITS}\n"
+        )
 
     def test_catalyst_over_the_cap_refused_at_its_first_step(self, capsys, monkeypatch):
         # One "1" and 200,000 "0"s: 200,001 components times the 1 bit of
-        # the first denominator are over the cap, so only "1" is parsed.
+        # the first denominator are over the cap, so make_catalyst reads
+        # only "1".
         parsed = []
+        as_pair = spectra_module._as_pair
 
-        def counted(text):
-            parsed.append(text)
-            return parse_rational(text)
+        def counted(value, name=""):
+            if name == "catalyst":
+                parsed.append(value)
+            return as_pair(value, name)
 
-        monkeypatch.setattr(cli, "parse_rational", counted)
+        monkeypatch.setattr(spectra_module, "_as_pair", counted)
         stdin = self._catalyst_document(["1", *["0"] * 200_000])
         code, out, err = run(capsys, ["validate"], stdin=stdin, monkeypatch=monkeypatch)
         assert (code, out, parsed) == (1, "", ["1"])
         assert err == (
             "error: catalyst: 200001 components times 1 or more bits "
-            f"of their common denominator exceed {cli.MAX_CATALYST_BITS}\n"
+            f"of their common denominator exceed {spectra_module.MAX_CATALYST_BITS}\n"
         )
 
     @pytest.mark.parametrize(
@@ -440,9 +446,12 @@ class TestValidate:
             ["1/1000"] * 1000,
             # Two components at the 4,300-digit limit.
             [f"{5 * 10**4298 + 1}/{10**4299}", f"{5 * 10**4298 - 1}/{10**4299}"],
+            # p = (10**4300 - 1)/10**4300: a denominator of 4,301 digits, so
+            # the rule must get p as a Fraction, not as text to parse again.
+            ["1e-4300", "0." + "9" * 4300],
             ["1", *["0"] * 1000],
         ],
-        ids=["1000-equal", "digit-limit", "1001-with-zeros"],
+        ids=["1000-equal", "digit-limit", "p-over-the-digit-limit", "1001-with-zeros"],
     )
     def test_large_catalysts_accepted(self, capsys, monkeypatch, catalyst):
         stdin = self._catalyst_document(catalyst)
@@ -488,6 +497,12 @@ class TestSweep:
     def test_bad_denominator(self, capsys):
         code, _, err = run(capsys, ["sweep", *CATALYZABLE, "--denominator", "0"])
         assert code == 1 and "positive integer" in err
+
+    @pytest.mark.parametrize("text", ["x", "1.5"])
+    def test_non_integer_denominator_flag_names_the_flag(self, capsys, text):
+        code, out, err = run(capsys, ["sweep", *CATALYZABLE, "--denominator", text])
+        message = f"error: argument --denominator: invalid int value: '{text}'\n"
+        assert (code, out, err) == (1, "", message)
 
     def test_huge_denominator_ends_quickly(self):
         # A grid of 10**11 points once ran without end; the bound rejects it.
@@ -893,6 +908,11 @@ class TestStdinDocument:
                 "catalyst: malformed rational 'false'",
             ),
             (
+                ["validate"],
+                "{" + PAIR + ', "catalyst": [null, "1"]}',
+                "catalyst: malformed rational 'null'",
+            ),
+            (
                 ["sweep"],
                 "{" + PAIR + ', "grid_denominator": null}',
                 "grid denominator must be a positive integer up to 100000, got null",
@@ -905,7 +925,8 @@ class TestStdinDocument:
         ],
         ids=[
             "analyze-nan", "sweep-infinity", "construct-minus-infinity",
-            "analyze-true", "construct-null", "validate-false", "sweep-null", "sweep-true",
+            "analyze-true", "construct-null", "validate-false", "validate-null", "sweep-null",
+            "sweep-true",
         ],
     )
     def test_json_constant_read_as_text(self, capsys, monkeypatch, argv, stdin, message):
@@ -1011,8 +1032,14 @@ class TestOwnDigitLimit:
                 '{"source": [' + "1" * 4301 + ', "0", "0", "0"], "target": ["1", "0", "0", "0"]}',
                 "has a number over 4300 digits\n",
             ),
+            (
+                ["sweep", "--source", "0.4,0.4,0.1,0.1", *PAIR, "--denominator", "9" * 4301],
+                None,
+                "error: grid denominator must be a positive integer up to 100000, "
+                f"got '{'9' * 4301}'\n",
+            ),
         ],
-        ids=["numerator", "exponent", "document-integer"],
+        ids=["numerator", "exponent", "document-integer", "denominator-flag"],
     )
     def test_same_with_the_interpreter_limit_off(self, argv, stdin, message):
         env = child_env()

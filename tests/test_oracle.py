@@ -221,9 +221,10 @@ class TestOnTheIntegers:
         assert fractions_built(compute_M, CAT_SOURCE, eps) == 1
 
     def test_construct_request(self):
-        # The constructor builds and checks the pair on the ints: the three
-        # Fractions are m0, M0 and mu (123 when it worked in Fractions).
-        assert fractions_built(cli_quietly, ["construct", "--m0", "7/30", "--M0", "3/7"]) == 3
+        # The constructor reads m0 and M0 as int pairs and builds and checks
+        # the pair on the ints: the one Fraction is mu (3 when the CLI parsed
+        # m0, M0 into Fractions, 123 when it worked in Fractions).
+        assert fractions_built(cli_quietly, ["construct", "--m0", "7/30", "--M0", "3/7"]) == 1
 
     def test_no_fraction_per_check(self):
         catalyst = two_qubit_catalyst(F(3, 5))
@@ -245,19 +246,19 @@ class TestOnTheIntegers:
         assert python_calls(is_valid_catalyst, CAT_SOURCE, CAT_TARGET, p) == 8
 
     def test_validate_catalyst_request_reads_each_component_once(self):
-        # Each component is parsed once, by parse_rational, and read as its
-        # reduced int pair, from which the catalyst is built; none goes back
-        # through _as_pair (3 calls when make_catalyst read the parsed
-        # Fractions back).  The request builds the 3 component Fractions and
-        # analyze's m and M: 5, as before.
+        # Each component text goes to make_catalyst and is read once, by
+        # _as_pair, into its reduced int pair, from which the catalyst is
+        # built (none when the CLI parsed the components itself).  The
+        # request builds only analyze's m and M: 2 (5 when each component
+        # was parsed into a Fraction).
         components = ["0.5", "0.3", "0.2"]
         profile = cProfile.Profile()
         profile.runcall(cli._catalyst, {"catalyst": components})
         assert sum(calls for (_, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
-                   if name == "_as_pair") == 0
+                   if name == "_as_pair") == 3
         argv = ["validate", "--source", "0.4,0.4,0.1,0.1", "--target", "0.5,0.25,0.25,0"]
         analyze.cache_clear()
-        assert fractions_built(cli_quietly, [*argv, "--catalyst", ",".join(components)]) == 5
+        assert fractions_built(cli_quietly, [*argv, "--catalyst", ",".join(components)]) == 2
 
     def test_slack_decomposition_builds_a_fraction_per_slack(self):
         # One reduced Fraction per slack of a returned triple, none on a violation.

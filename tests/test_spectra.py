@@ -12,8 +12,10 @@ from qcatalyst import (
     EpsilonTriple,
     Spectrum4,
     StarViolation,
+    construct_states,
     epsilon_decompose,
     is_majorized_by,
+    is_valid_catalyst,
     make_catalyst,
     make_spectrum,
     mu_admissible_bound,
@@ -22,7 +24,8 @@ from qcatalyst import (
     sweep_grid,
     two_qubit_catalyst,
 )
-from qcatalyst.spectra import _as_pair
+import qcatalyst.spectra as spectra_module
+from qcatalyst.spectra import MAX_CATALYST_BITS, _as_pair
 
 from support import satisfies_star, spectra, star_pairs
 
@@ -133,6 +136,78 @@ class TestOutsideRationals:
         assert sweep_grid(5, ("6/10", "5/8")) == [
             Fraction(1, 2), Fraction(3, 5), Fraction(5, 8), Fraction(4, 5), Fraction(1)
         ]
+
+
+class TestNamedParseErrors:
+    """A reader that names its value puts the name in front of a string's
+    parse error; range and domain messages carry no name."""
+
+    @pytest.mark.parametrize(
+        "read,prefix",
+        [
+            (lambda: two_qubit_catalyst("x"), "p: "),
+            (lambda: is_valid_catalyst(CAT_SOURCE, CAT_TARGET, "x"), "p: "),
+            (lambda: construct_states("x", "1/2"), "m0: "),
+            (lambda: construct_states("1", "1/0"), "M0: "),
+            (lambda: construct_states("1", "1/2", "1e9999"), "mu: "),
+            (lambda: make_catalyst(["0.5", "x"]), "catalyst: "),
+        ],
+        ids=["two-qubit", "is-valid", "m0", "M0", "mu", "catalyst"],
+    )
+    def test_named(self, read, prefix):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value).startswith(prefix)
+        assert "rational" in str(info.value)
+
+    def test_unnamed(self):
+        with pytest.raises(ValueError) as info:
+            make_spectrum(["x", "0", "0", "1"])
+        assert str(info.value) == "malformed rational 'x'"
+        with pytest.raises(ValueError) as info:
+            _as_pair("x")
+        assert str(info.value) == "malformed rational 'x'"
+
+    def test_range_messages_carry_no_name(self):
+        with pytest.raises(ValueError, match=r"^two-qubit catalyst parameter"):
+            two_qubit_catalyst("2/5")
+        with pytest.raises(ValueError, match=r"^m0 must be positive"):
+            construct_states("0", "1/2")
+
+    def test_every_value_is_read_before_the_domain_checks(self):
+        # m0 is out of range and mu is malformed: mu's parse error comes
+        # first, as when the CLI parsed all three before constructing.
+        with pytest.raises(ValueError, match=r"^mu: malformed rational 'x'$"):
+            construct_states("0", "1/2", "x")
+
+
+class TestCatalystCap:
+    def test_prime_catalyst_refused(self):
+        # 3,200 components 1/(N q) and (q-1)/(N q) over N = 1,600 distinct
+        # 5-digit primes q: about 6,800 digits of common denominator.
+        n = 1600
+        primes = [q for q in range(10_001, 30_000, 2) if all(q % d for d in range(3, 174, 2))]
+        catalyst = [text for q in primes[:n] for text in (f"1/{n * q}", f"{q - 1}/{n * q}")]
+        with pytest.raises(ValueError) as info:
+            make_catalyst(catalyst)
+        message = str(info.value)
+        assert message.startswith(f"catalyst: {2 * n} components times ")
+        assert message.endswith(f"bits of their common denominator exceed {MAX_CATALYST_BITS}")
+
+    def test_reading_stops_at_the_first_step_over_the_cap(self, monkeypatch):
+        read = []
+
+        def counted(value, name=""):
+            read.append(value)
+            return _as_pair(value, name)
+
+        monkeypatch.setattr(spectra_module, "_as_pair", counted)
+        with pytest.raises(ValueError, match="^catalyst: 200001 components times 1 or more bits"):
+            make_catalyst(["1", *["0"] * 200_000])
+        assert read == ["1"]
+
+    def test_any_iterable_is_read(self):
+        assert make_catalyst(iter(["0.4", "0.6"])).kappa == (Fraction(3, 5), Fraction(2, 5))
 
 
 class TestCatalysts:
