@@ -26,13 +26,16 @@ from qcatalyst import (  # noqa: E402
 )
 from support import p_grid, random_star_pair  # noqa: E402
 
+# Largest spectrum denominator of a random pair, and the p-lattice
+# denominator of the grid: the values of the acceptance suite's criterion 5.
+MAX_DENOMINATOR = 60
+GRID_DENOMINATOR = 38
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--max-denominator", type=int, default=60)
-    parser.add_argument("--grid-denominator", type=int, default=38)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
@@ -40,10 +43,10 @@ def main():
     checks = disagreements = 0
     started = time.perf_counter()
     for _ in range(args.pairs):
-        source, target = random_star_pair(rng, args.max_denominator)
+        source, target = random_star_pair(rng, MAX_DENOMINATOR)
         report = analyze(source, target)
         verdicts[report.verdict] += 1
-        for p in p_grid(report, args.grid_denominator):
+        for p in p_grid(report, GRID_DENOMINATOR):
             predicted = is_valid_catalyst(source, target, p)
             actual = oracle_valid_catalyst(source, target, two_qubit_catalyst(p))
             checks += 1

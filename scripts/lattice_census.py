@@ -24,7 +24,6 @@ import time
 from fractions import Fraction
 
 from qcatalyst import StarViolation, Verdict, analyze, feasible_p_set, locc_possible, make_spectrum
-from qcatalyst.rationals import HALF
 
 COLUMNS = ("pairs", "locc", "catalyzable", "star_violated", "interval_empty",
            "isolated_points", "disagreements")
@@ -52,7 +51,7 @@ def tally(pairs) -> dict:
         pieces = feasible_p_set(source, target)
         verdict = report.verdict
         if verdict is Verdict.LOCC_ALREADY_POSSIBLE:
-            expected = ((HALF, Fraction(1)),)
+            expected = ((Fraction(1, 2), Fraction(1)),)
         elif verdict is Verdict.CATALYZABLE:
             expected = (report.p_interval,)
         else:

@@ -47,6 +47,7 @@ from .rationals import (
     _DECIMAL_SCALE,
     MAX_DIGITS,
     ExtendedRational,
+    _digits,
     decimal_text,
     ratio_text,
     render_decimal,
@@ -148,8 +149,8 @@ def _spectrum(values, label: str) -> Spectrum4:
 
 def _json_int(text: str) -> int | str:
     """A JSON integer, or an integer flag, as an int, or as its text past
-    MAX_DIGITS digits."""
-    return text if len(text.lstrip("-")) > MAX_DIGITS else int(text)
+    MAX_DIGITS digits, counted as int() counts them."""
+    return text if _digits(text) > MAX_DIGITS else int(text)
 
 
 # argparse names a flag's converter in its error: "invalid int value: 'x'".

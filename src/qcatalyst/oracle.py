@@ -34,7 +34,6 @@ from .spectra import (
     AugmentedSpectrum,
     CatalystSpectrum,
     Spectrum4,
-    _as_pair,
     _two_qubit_parameter,
 )
 
@@ -188,16 +187,11 @@ def sweep_grid(
     When a feasible p-interval is known, its exact endpoints are merged in:
     the endpoints are where a disagreement between the interval machinery
     and the oracle would hide.  Raises ValueError unless the denominator is
-    an int from 1 to MAX_GRID_DENOMINATOR.
+    an int from 1 to MAX_GRID_DENOMINATOR; an end raises what
+    two_qubit_catalyst raises for it (outside [1/2, 1], or a string's parse
+    error, which starts with "p: ").
     """
-
-    def ends():
-        for a, b in map(_as_pair, p_interval or ()):
-            if not b <= 2 * a <= 2 * b:
-                raise ValueError(f"interval endpoint {value_text(Fraction(a, b))} outside [1/2, 1]")
-            yield a, b
-
-    first, extras = _grid_layout(denominator, ends())
+    first, extras = _grid_layout(denominator, map(_two_qubit_parameter, p_interval or ()))
     grid = [Fraction(k, denominator) for k in range(first, denominator + 1)]
     for index, a, b in extras:
         grid.insert(index, Fraction(a, b))

@@ -25,9 +25,6 @@ INFINITY: float = math.inf
 
 ExtendedRational = Fraction | float
 
-# Lower end of the two-qubit catalyst parameter range [1/2, 1].
-HALF = Fraction(1, 2)
-
 # Largest decimal exponent magnitude parse_rational accepts (Fraction builds
 # 10**exponent), and the most digits of any number in the text, counted as
 # int() counts them (not signs or underscores) on the text itself, so the

@@ -20,7 +20,6 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from qcatalyst import CatalystSpectrum, Spectrum4, make_catalyst, make_spectrum, sweep_grid
-from qcatalyst.rationals import HALF
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,7 +89,7 @@ def p_grid(report, lattice_denominator: int) -> list[Fraction]:
     points = set(sweep_grid(lattice_denominator, report.p_interval))
     if report.p_interval is not None:
         low, high = report.p_interval
-        points.add(low - min(Fraction(1, 997), low - HALF) / 2)
+        points.add(low - min(Fraction(1, 997), low - Fraction(1, 2)) / 2)
         points.add(high + min(Fraction(1, 997), 1 - high) / 2)
     return sorted(points)
 

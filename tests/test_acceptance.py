@@ -32,7 +32,6 @@ from qcatalyst import (
     sweep_grid,
     two_qubit_catalyst,
 )
-from qcatalyst.rationals import HALF
 
 from support import p_grid, random_star_pair
 
@@ -125,7 +124,7 @@ def test_criterion_3_manual_partial_sums():
 
     # At or below the crossover the fourth sums decide: 9/10 vs 17/20.
     p = F(11, 20)
-    assert HALF <= p <= F(10, 17)
+    assert F(1, 2) <= p <= F(10, 17)
     source_sums = partial_sums(augment(HARD_SOURCE, two_qubit_catalyst(p)))
     target_sums = partial_sums(augment(HARD_TARGET, two_qubit_catalyst(p)))
     assert source_sums[3] == F(9, 10)

@@ -1038,8 +1038,21 @@ class TestOwnDigitLimit:
                 "error: grid denominator must be a positive integer up to 100000, "
                 f"got '{'9' * 4301}'\n",
             ),
+            (
+                # 4,301 characters but 4,300 digits: read as the int.
+                ["sweep", "--source", "0.4,0.4,0.1,0.1", *PAIR, "--denominator", "+" + "9" * 4300],
+                None,
+                "error: grid denominator must be a positive integer up to 100000, "
+                f"got {'9' * 4300}\n",
+            ),
         ],
-        ids=["numerator", "exponent", "document-integer", "denominator-flag"],
+        ids=[
+            "numerator",
+            "exponent",
+            "document-integer",
+            "denominator-flag",
+            "signed-denominator-flag",
+        ],
     )
     def test_same_with_the_interpreter_limit_off(self, argv, stdin, message):
         env = child_env()

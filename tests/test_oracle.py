@@ -531,10 +531,19 @@ class TestSweepGrid:
             sweep_grid(denominator)
 
     def test_endpoint_range_validation(self):
-        with pytest.raises(ValueError, match="outside"):
-            sweep_grid(10, (F(1, 4), F(3, 5)))
-        with pytest.raises(ValueError, match="outside"):
-            sweep_grid(10, (F(1, 10**5000), F(3, 5)))
+        # An end is read by two_qubit_catalyst's reader, so it raises
+        # exactly what two_qubit_catalyst raises for it.
+        for end in (F(1, 4), F(1, 10**5000), "3/2", "x"):
+            with pytest.raises(ValueError) as expected:
+                two_qubit_catalyst(end)
+            with pytest.raises(ValueError) as got:
+                sweep_grid(10, (end, F(3, 5)))
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+        assert str(got.value) == "p: malformed rational 'x'"
+        # The denominator is still checked before the ends.
+        with pytest.raises(ValueError, match="positive integer"):
+            sweep_grid(0, (F(1, 4), F(3, 5)))
 
     @pytest.mark.parametrize(
         "interval,message",
