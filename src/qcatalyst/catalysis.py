@@ -110,40 +110,25 @@ class FeasibilityReport(_Frozen):
         return None if ends is None else tuple(Fraction(*end) for end in ends)
 
 
-def _lower_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int]:
-    """m as (numerator, denominator), from the source and the slacks as ints
-    over one denominator, which cancels.  +infinity is the term eps2/eps1
-    itself, (eps2, 0) when eps1 = 0.
-
-    Every other denominator below is positive for a canonical source and
-    slacks of valid signs (eps2 > 0), so ratio_key orders the terms and puts
-    (eps2, 0) above every finite one.
-    """
-    a1, a2, a3, a4 = alpha
-    e1, e2, e3 = eps
-    terms = [(a2 - e1, a1 + e1), (e2, e1)]
-    if a3 + e3:
-        terms.append((a4 - e3, a3 + e3))
-    return max(terms, key=ratio_key)
-
-
-def _upper_bound(alpha: list[int], eps: Sequence[int]) -> tuple[int, int]:
-    """M as (numerator, denominator), on the ints as _lower_bound; the
-    denominator alpha2 - eps1 is positive for valid slacks of a real pair
-    (target2 = alpha2 - eps1 - eps2 >= 0 and eps2 > 0)."""
-    _, a2, a3, _ = alpha
-    e1, e2, e3 = eps
-    return min([(a3 + e3, a2 - e1), (e3, e2)], key=ratio_key)
-
-
 def _bounds(
     source: Spectrum4, slacks: Sequence[int], den: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(m, M) of a source and its slacks over den, as _lower_bound and
-    _upper_bound give them: the source is put over den, which must be a
-    multiple of the source's denominator, as _slacks's den_s * den_t is."""
-    alpha = [a * den // source.scaled[1] for a in source.scaled[0]]
-    return _lower_bound(alpha, slacks), _upper_bound(alpha, slacks)
+    """(m, M) as (numerator, denominator) int pairs, from a source and its
+    slacks over den, which must be a multiple of the source's denominator,
+    as _slacks's den_s * den_t is; the source is put over den, and den
+    cancels.  +infinity is m's term eps2/eps1 itself, (eps2, 0) when
+    eps1 = 0.
+
+    Every other denominator is positive for a canonical source and slacks
+    of valid signs (eps2 > 0 and target2 = alpha2 - eps1 - eps2 >= 0), so
+    ratio_key orders the terms and puts (eps2, 0) above every finite one.
+    """
+    a1, a2, a3, a4 = [a * den // source.scaled[1] for a in source.scaled[0]]
+    e1, e2, e3 = slacks
+    terms = [(a2 - e1, a1 + e1), (e2, e1)]
+    if a3 + e3:
+        terms.append((a4 - e3, a3 + e3))
+    return max(terms, key=ratio_key), min([(a3 + e3, a2 - e1), (e3, e2)], key=ratio_key)
 
 
 def _triple_bounds(alpha: Spectrum4, eps: EpsilonTriple) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -248,13 +233,12 @@ def closed_form_lambda_prime(
     a3 = t3 - eps.eps2 - eps.eps3
     a4 = t4 + eps.eps3
     source = Spectrum4((a1, a2, a3, a4))
-    m = compute_m(source, eps)
-    M = compute_M(source, eps)
-    r = q / p
-    if not m <= r <= M:
+    # source's slacks are eps, with eps2 > 0: analyze finds bounds, not LOCC.
+    if not is_valid_catalyst(source, target, p):
+        report = analyze(source, target)
         raise ValueError(
-            f"ratio (1-p)/p = {value_text(r)} outside feasible interval "
-            f"[{value_text(m)}, {value_text(M)}]; "
+            f"ratio (1-p)/p = {value_text(q / p)} outside feasible interval "
+            f"[{value_text(report.m)}, {value_text(report.M)}]; "
             "closed forms do not describe the sorted spectrum there"
         )
     e1, e2, e3 = eps.eps1, eps.eps2, eps.eps3

@@ -48,6 +48,8 @@ from .rationals import (
     MAX_DIGITS,
     ExtendedRational,
     _digits,
+    _int,
+    _int_text,
     decimal_text,
     ratio_text,
     render_decimal,
@@ -113,7 +115,7 @@ def _json_text(value, indent: str = "\n") -> str:
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
-        return int.__repr__(value)
+        return _int_text(value)
     inner = indent + "  "
     if isinstance(value, dict):
         brackets = "{}"
@@ -127,10 +129,10 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _document_text(value) -> str:
-    """A document value as the text the library reads: JSON's literals as
-    the document wrote them, anything else as str() writes it (a string
-    unchanged)."""
-    return _json_text(value) if value is None or type(value) is bool else str(value)
+    """A document value as the text the library reads: JSON's literals and
+    integers as the document wrote them, anything else as str() writes it
+    (a string unchanged)."""
+    return _json_text(value) if value is None or type(value) in (bool, int) else str(value)
 
 
 def _array(values, label: str) -> list:
@@ -150,7 +152,7 @@ def _spectrum(values, label: str) -> Spectrum4:
 def _json_int(text: str) -> int | str:
     """A JSON integer, or an integer flag, as an int, or as its text past
     MAX_DIGITS digits, counted as int() counts them."""
-    return text if _digits(text) > MAX_DIGITS else int(text)
+    return text if _digits(text) > MAX_DIGITS else _int(text)
 
 
 # argparse names a flag's converter in its error: "invalid int value: 'x'".

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cmp_to_key
@@ -41,6 +42,8 @@ _RATIONAL = re.compile(
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 # One number's digits, maybe split by single underscores.
 _NUMBER = re.compile(r"\d(?:_?\d)*")
+# An int literal as int() reads it in base 10.
+_INT = re.compile(r"\s*[-+]?" + _NUMBER.pattern + r"\s*")
 
 # Sort key of (numerator, denominator > 0) int pairs by value; its keys
 # compare, and test equal, by cross-multiplying.
@@ -56,6 +59,17 @@ def _digits(number: str) -> int:
     return len(number.lstrip("+-")) - number.count("_")
 
 
+def _int(text: str) -> int:
+    """int(text) whatever the interpreter's int_max_str_digits limit, so
+    that MAX_DIGITS alone bounds a number.  int() reads any text no longer
+    than the lowest limit CPython allows; a longer int literal is read
+    through Decimal, which has no limit.  Any other text raises int()'s
+    ValueError, which Decimal would not: it reads "1.5" and "1e3"."""
+    if len(text) > sys.int_info.str_digits_check_threshold and _INT.fullmatch(text):
+        return int(Decimal(text))
+    return int(text)
+
+
 def parse_ratio(text: str) -> tuple[int, int]:
     """Parse "num/den" or a finite decimal literal, in Fraction's grammar,
     into (numerator, denominator) ints: denominator > 0, not reduced, so
@@ -63,7 +77,7 @@ def parse_ratio(text: str) -> tuple[int, int]:
 
     Raises ValueError on malformed text, a zero denominator, a number of
     more than MAX_DIGITS digits or an exponent beyond MAX_EXPONENT.  Digits
-    are counted on the text in one linear pass before any int() call; a
+    are counted on the text in one linear pass before any _int() call; a
     text of MAX_DIGITS characters or fewer cannot hold a longer number.
     """
     if not isinstance(text, str):
@@ -74,7 +88,7 @@ def parse_ratio(text: str) -> tuple[int, int]:
     else:
         exponent = (found := _EXPONENT.search(text)) and found[1]
     # Checked first, on malformed text too; Fraction would build 10**exponent.
-    if exponent and (_digits(exponent) > MAX_DIGITS or abs(int(exponent)) > MAX_EXPONENT):
+    if exponent and (_digits(exponent) > MAX_DIGITS or abs(_int(exponent)) > MAX_EXPONENT):
         raise ValueError(f"exponent of rational {text!r} exceeds {MAX_EXPONENT} in magnitude")
     runs = _NUMBER.findall(text) if len(text) > MAX_DIGITS else ()
     # A run's length bounds its digits: _digits reads the runs of a text
@@ -83,13 +97,14 @@ def parse_ratio(text: str) -> tuple[int, int]:
         raise ValueError(f"rational {text!r} has a number over {MAX_DIGITS} digits")
     if match is None:
         raise ValueError(f"malformed rational {text!r}")
-    num, den = int(num or "0"), int(den or "1")
-    if decimal := (decimal or "").replace("_", ""):
-        num, den = num * 10 ** len(decimal) + int(decimal), 10 ** len(decimal)
+    # "1.25" is 125 over 10**2: its digits are read as one number.
+    decimal = (decimal or "").replace("_", "")
+    num = _int((num or "0") + decimal)
+    den = _int(den) if den else 10 ** len(decimal)
     if den == 0:
         raise ValueError(f"zero denominator in rational {text!r}")
     if exponent:
-        exponent = int(exponent)
+        exponent = _int(exponent)
         num, den = (num * 10**exponent, den) if exponent >= 0 else (num, den * 10**-exponent)
     return (-num if sign == "-" else num), den
 

@@ -265,7 +265,7 @@ class EpsilonTriple(_Frozen):
 
     def __init__(self, eps1: Fraction, eps2: Fraction, eps3: Fraction) -> None:
         _require_fractions((eps1, eps2, eps3), "slack triple components")
-        if eps1 < 0 or eps2 <= 0 or eps3 < 0:
+        if _star_violation(eps1, eps2, eps3) is not None:
             raise ValueError("slack triple must satisfy eps1 >= 0, eps2 > 0, eps3 >= 0")
         self._set(eps1=eps1, eps2=eps2, eps3=eps3)
 
@@ -341,7 +341,8 @@ def _slacks(source: Spectrum4, target: Spectrum4) -> tuple[tuple[int, int, int],
 
 def _star_violation(eps1: int, eps2: int, eps3: int) -> StarViolation | None:
     """The first sign condition, in (eps1, eps2, eps3) order, that the
-    slacks break, or None."""
+    slacks break, or None; they are ints over one denominator, or an
+    EpsilonTriple's Fractions."""
     if eps1 < 0:
         return StarViolation.EPS1_NEGATIVE
     if eps2 <= 0:

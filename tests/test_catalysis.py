@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -32,11 +33,11 @@ from qcatalyst import (
     augment,
     two_qubit_catalyst,
 )
-from qcatalyst.catalysis import _bounds, _lower_bound
+from qcatalyst.catalysis import _bounds
 from qcatalyst.rationals import ratio_key
 from qcatalyst.spectra import _slacks
 
-from support import catalyst_params, child_env, coprime_star_pairs, spectra, star_pairs
+from support import ROOT, catalyst_params, child_env, coprime_star_pairs, spectra, star_pairs
 
 F = Fraction
 
@@ -139,8 +140,7 @@ class TestBoundPairs:
         # has a positive denominator.  Both are the Fraction formula's m.
         source, target = pair
         slacks, den = _slacks(source, target)
-        alpha = [a * den // source.scaled[1] for a in source.scaled[0]]
-        m = _lower_bound(alpha, slacks)
+        m = _bounds(source, slacks, den)[0]
         if slacks[0] == 0:
             assert m == (slacks[1], 0)
         else:
@@ -258,11 +258,9 @@ class TestAnalyze:
         assert borrowed == []
 
     def test_each_integer_convention_has_one_owner(self):
-        # The bound kernels are named only in catalysis (callers go through
-        # catalysis._bounds), only rationals writes the text "inf", and only
-        # rationals states the 12-digit decimal width: the int 12, 10**12,
-        # or a width of 12 in a %-format or a format spec.
-        kernels = {"_lower_bound", "_upper_bound"}
+        # Only rationals writes the text "inf", and only rationals states the
+        # 12-digit decimal width: the int 12, 10**12, or a width of 12 in a
+        # %-format or a format spec.
         width = r"(?<!\d)0?12(?!\d)"
         width_format = re.compile(r"%[-+ #0]*12(?!\d)|\{[^{}]*:[^{}]*" + width + r"[^{}]*\}")
 
@@ -275,25 +273,13 @@ class TestAnalyze:
                 return node.value in (12, 10**12)
             return isinstance(node.value, str) and width_format.search(node.value) is not None
 
-        def names(node) -> set:
-            if isinstance(node, ast.Name):
-                return {node.id}
-            if isinstance(node, ast.Attribute):
-                return {node.attr}
-            if isinstance(node, ast.alias):
-                return {node.name}
-            return {node.name} if isinstance(node, ast.FunctionDef) else set()
-
-        kernel_modules, inf_modules, width_modules = set(), set(), set()
+        inf_modules, width_modules = set(), set()
         for path in sorted(Path(qcatalyst.__file__).parent.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if names(node) & kernels:
-                    kernel_modules.add(path.name)
                 if isinstance(node, ast.Constant) and node.value == "inf":
                     inf_modules.add(path.name)
                 if states_width(node):
                     width_modules.add(path.name)
-        assert kernel_modules == {"catalysis.py"}
         assert inf_modules == {"rationals.py"}
         assert width_modules == {"rationals.py"}
 
@@ -350,6 +336,20 @@ class TestAnalyze:
             if imports_typing(node)
         ]
         assert found == []
+
+    def test_traced_names_exist(self):
+        # The benchmark traces functions by name; each must stay a callable.
+        # spans.py is read, not imported, so nothing is written under it.
+        tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+        traced = next(
+            ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+        )
+        missing = [
+            f"{module}.{name}" for module, names in traced.items() for name in names
+            if not callable(getattr(importlib.import_module(f"qcatalyst.{module}"), name, None))
+        ]
+        assert traced and missing == []
 
     def test_public_names_are_the_init_imports(self):
         # There is no __all__: the public names are exactly what __init__
@@ -466,8 +466,17 @@ class TestClosedFormLambdaPrime:
         assert values[7] == F(1)
 
     def test_outside_interval_rejected(self):
-        with pytest.raises(ValueError, match="outside feasible interval"):
-            closed_form_lambda_prime(CAT_TARGET, CAT_EPS, F(9, 10))
+        # The whole message: its bounds are analyze's m and M, INFINITY too.
+        cases = [
+            (CAT_EPS, F(9, 10), "1/9 outside feasible interval [3/5, 2/3]"),
+            (EpsilonTriple(F(0), F(1, 20), F(0)), F(3, 5), "2/3 outside feasible interval [inf, 0]"),
+        ]
+        for eps, p, shown in cases:
+            with pytest.raises(ValueError) as raised:
+                closed_form_lambda_prime(CAT_TARGET, eps, p)
+            assert str(raised.value) == (
+                f"ratio (1-p)/p = {shown}; closed forms do not describe the sorted spectrum there"
+            )
 
     def test_matches_sorted_augmented_sums(self):
         for p in (F(3, 5), F(29, 48), F(5, 8)):

@@ -498,7 +498,9 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", *CATALYZABLE, "--denominator", "0"])
         assert code == 1 and "positive integer" in err
 
-    @pytest.mark.parametrize("text", ["x", "1.5"])
+    # Past 640 characters an int literal is read through Decimal, which
+    # would also read this text, as 111...1.
+    @pytest.mark.parametrize("text", ["x", "1.5", pytest.param("1" * 700 + ".5", id="long")])
     def test_non_integer_denominator_flag_names_the_flag(self, capsys, text):
         code, out, err = run(capsys, ["sweep", *CATALYZABLE, "--denominator", text])
         message = f"error: argument --denominator: invalid int value: '{text}'\n"
@@ -1011,8 +1013,10 @@ class TestBoundedIO:
 
 class TestOwnDigitLimit:
     # The 4,300-digit limit is counted on the text by rationals, so it holds
-    # with CPython's int_max_str_digits limit switched off.
+    # with CPython's int_max_str_digits limit switched off or at its lowest,
+    # 640: a number under 4,300 digits is read at either.
     PAIR = ["--target", "0.5,0.25,0.25,0"]
+    QUARTER = "1" + "0" * 1000 + "/4" + "0" * 1000
 
     @pytest.mark.parametrize(
         "argv,stdin,message",
@@ -1045,6 +1049,16 @@ class TestOwnDigitLimit:
                 "error: grid denominator must be a positive integer up to 100000, "
                 f"got {'9' * 4300}\n",
             ),
+            (
+                ["analyze"],
+                '{"source": [' + "1" * 700 + ', "0", "0", "0"], "target": ["1", "0", "0", "0"]}',
+                f"error: source: spectrum components must sum to 1, got {'1' * 700}\n",
+            ),
+            (
+                ["analyze", "--source", ",".join([QUARTER] * 4), "--target", "1,0,0,0"],
+                None,
+                None,
+            ),
         ],
         ids=[
             "numerator",
@@ -1052,13 +1066,15 @@ class TestOwnDigitLimit:
             "document-integer",
             "denominator-flag",
             "signed-denominator-flag",
+            "document-integer-700",
+            "valid-1001-digits",
         ],
     )
     def test_same_with_the_interpreter_limit_off(self, argv, stdin, message):
         env = child_env()
         env.pop("PYTHONINTMAXSTRDIGITS", None)
         runs = []
-        for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}):
+        for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"}):
             done = subprocess.run(
                 [sys.executable, "-m", "qcatalyst.cli", *argv],
                 input=stdin,
@@ -1068,9 +1084,12 @@ class TestOwnDigitLimit:
                 timeout=60,
             )
             runs.append((done.returncode, done.stdout, done.stderr))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
         code, out, err = runs[0]
-        assert (code, out) == (1, "") and err.endswith(message)
+        if message is None:
+            assert (code, err) == (0, "") and '"verdict": "locc_already_possible"' in out
+        else:
+            assert (code, out) == (1, "") and err.endswith(message)
 
 
 HELP_GOLDEN = json.loads((Path(__file__).with_name("cli_help_golden.json")).read_text())
