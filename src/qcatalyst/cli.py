@@ -49,11 +49,11 @@ from .rationals import (
     ExtendedRational,
     _digits,
     _int,
-    _int_text,
     decimal_text,
     ratio_text,
     render_decimal,
     render_rational,
+    value_text,
 )
 from .spectra import (
     Spectrum4,
@@ -115,7 +115,7 @@ def _json_text(value, indent: str = "\n") -> str:
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
-        return _int_text(value)
+        return value_text(value)
     inner = indent + "  "
     if isinstance(value, dict):
         brackets = "{}"
@@ -128,11 +128,12 @@ def _json_text(value, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
-def _document_text(value) -> str:
-    """A document value as the text the library reads: JSON's literals and
-    integers as the document wrote them, anything else as str() writes it
-    (a string unchanged)."""
-    return _json_text(value) if value is None or type(value) in (bool, int) else str(value)
+def _document_text(value) -> str | int:
+    """A document value as the library reads it: a string or an int as it
+    is, JSON's literals as the document wrote them, anything else as str()
+    writes it."""
+    literal = value is None or type(value) is bool
+    return _json_text(value) if literal else value if type(value) in (str, int) else str(value)
 
 
 def _array(values, label: str) -> list:
@@ -142,9 +143,8 @@ def _array(values, label: str) -> list:
 
 
 def _spectrum(values, label: str) -> Spectrum4:
-    texts = [v if type(v) is str else _document_text(v) for v in _array(values, label)]
     try:
-        return make_spectrum(texts)
+        return make_spectrum(map(_document_text, _array(values, label)))
     except ValueError as exc:
         raise InputError(f"{label}: {exc}") from None
 

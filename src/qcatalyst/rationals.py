@@ -114,36 +114,30 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
-def _int_text(n: int) -> str:
-    """Decimal text of any int; str(n) refuses more than 4,300 digits."""
-    try:
-        return str(n)
-    except ValueError:
-        return str(Decimal(n))
-
-
 def ratio_text(num: int, den: int) -> str:
     """"num/den" text of two ints; the core of render_rational."""
     try:
         return f"{num}/{den}"
-    except ValueError:  # a part over 4,300 digits
-        return f"{_int_text(num)}/{_int_text(den)}"
+    except ValueError:  # a part past the interpreter's int_max_str_digits
+        return f"{Decimal(num)}/{Decimal(den)}"
 
 
 def value_text(value: ExtendedRational | int) -> str:
-    """str(value) of an int, a Fraction or INFINITY, at any size; error
-    messages quote values through it."""
+    """str(value) of an int, a Fraction or INFINITY, at any size and under
+    any int_max_str_digits setting: str() refuses a part past that limit,
+    which Decimal writes instead.  The one writer of a number's text: error
+    messages, decimal_text's whole part and the CLI's JSON ints use it."""
     try:
         return str(value)
-    except ValueError:  # a part over 4,300 digits
+    except ValueError:  # a part past the interpreter's int_max_str_digits
         num, den = value.as_integer_ratio()
-        return _int_text(num) if den == 1 else ratio_text(num, den)
+        return str(Decimal(num)) if den == 1 else ratio_text(num, den)
 
 
 def decimal_text(num: int, den: int) -> tuple[str, bool]:
     """render_decimal of num/den, for ints with den > 0."""
     whole, rem = divmod(abs(num), den)
-    text = _int_text(whole)
+    text = value_text(whole)
     if rem:
         # All 12 digits at once; the trailing zeros of a terminating
         # expansion are dropped, those of a truncation kept.
