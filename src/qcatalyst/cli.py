@@ -130,10 +130,13 @@ def _json_text(value, indent: str = "\n") -> str:
 
 def _document_text(value) -> str | int:
     """A document value as the library reads it: a string or an int as it
-    is, JSON's literals as the document wrote them, anything else as str()
-    writes it."""
-    literal = value is None or type(value) is bool
-    return _json_text(value) if literal else value if type(value) in (str, int) else str(value)
+    is, JSON's literals as the document wrote them, and an array or an
+    object as "[...]" or "{...}" whatever it holds.  Writing out what it
+    holds would recurse as deep as the document nests, and str() would
+    write Python's literals and refuse an int past int_max_str_digits."""
+    if type(value) in (list, dict):
+        return "[...]" if type(value) is list else "{...}"
+    return value if type(value) in (str, int) else _json_text(value)
 
 
 def _array(values, label: str) -> list:
@@ -143,8 +146,9 @@ def _array(values, label: str) -> list:
 
 
 def _spectrum(values, label: str) -> Spectrum4:
+    texts = [v if type(v) is str else _document_text(v) for v in _array(values, label)]
     try:
-        return make_spectrum(map(_document_text, _array(values, label)))
+        return make_spectrum(texts)
     except ValueError as exc:
         raise InputError(f"{label}: {exc}") from None
 
@@ -289,7 +293,7 @@ def _cmd_sweep(request: dict) -> list[str]:
     d = request.get("grid_denominator", 1000)
     if d is None or type(d) is bool:
         raise InputError(f"{_DENOMINATOR_RULE}, got {_document_text(d)}")
-    first, extras = _grid_layout(d, analyze(source, target)._p_ends() or ())
+    first, extras = _grid_layout(_document_text(d), analyze(source, target)._p_ends() or ())
     pieces = _p_set(source, target)
     # A piece [lo, hi] holds the lattice rows k/d from ceil(lo d) to
     # floor(hi d), so the verdict flips only at those edges (and 1/1 is

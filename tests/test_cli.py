@@ -924,20 +924,62 @@ class TestStdinDocument:
                 "{" + PAIR + ', "grid_denominator": true}',
                 "grid denominator must be a positive integer up to 100000, got true",
             ),
+            (["validate"], "{" + PAIR + ', "p": [null, true]}', "p: malformed rational '[...]'"),
+            (
+                ["validate"],
+                "{" + PAIR + ', "p": ' + "[" * 900 + "]" * 900 + "}",
+                "p: malformed rational '[...]'",
+            ),
+            (
+                ["analyze"],
+                '{"source": [{"a": [1, {}]}, 0, 0, 0], "target": ["1", "0", "0", "0"]}',
+                "source: malformed rational '{...}'",
+            ),
+            (
+                ["sweep"],
+                "{" + PAIR + ', "grid_denominator": [1000]}',
+                "grid denominator must be a positive integer up to 100000, got '[...]'",
+            ),
         ],
         ids=[
             "analyze-nan", "sweep-infinity", "construct-minus-infinity",
             "analyze-true", "construct-null", "validate-false", "validate-null", "sweep-null",
-            "sweep-true",
+            "sweep-true", "validate-array-of-literals", "validate-900-deep", "analyze-object",
+            "sweep-array",
         ],
     )
     def test_json_constant_read_as_text(self, capsys, monkeypatch, argv, stdin, message):
         # json reads NaN and +-Infinity as binary floats unless told not to;
         # they must stay text, and the message quotes them as written.  The
         # literals true, false and null are quoted as written too, not as
-        # Python writes True, False and None.
+        # Python writes True, False and None.  An array or an object is
+        # quoted as its brackets alone, whatever it holds and however deep.
         code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,stdin",
+        [
+            (["analyze"], '{"source": [1, 0, 0, 0], "target": [1, 0, 0, 0]}'),
+            (["validate"], '{"source": [1, 0, 0, 0], "target": [1, 0, 0, 0], "catalyst": [1, 0]}'),
+            (["validate"], '{"source": [1, 0, 0, 0], "target": [1, 0, 0, 0], "p": 1}'),
+            (["construct"], '{"m0": 2, "M0": 0, "mu": ' + "7" * 700 + "}"),
+        ],
+        ids=["analyze", "validate-catalyst", "validate-p", "construct"],
+    )
+    def test_document_int_reaches_the_library_as_an_int(self, capsys, monkeypatch, argv, stdin):
+        # Every library reader takes ints, so the CLI does not write a
+        # document's int out for the reader to parse again.
+        seen = []
+        for name in ("make_spectrum", "make_catalyst", "two_qubit_catalyst", "construct_states"):
+            def spy(*args, reader=getattr(cli, name)):
+                args = [a if a is None or isinstance(a, (str, int)) else list(a) for a in args]
+                seen.extend(type(v) for a in args if a is not None
+                            for v in (a if isinstance(a, list) else [a]))
+                return reader(*args)
+            monkeypatch.setattr(cli, name, spy)
+        run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert seen and set(seen) == {int}
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_document_integer_at_the_digit_limit_stays_an_int(self, capsys, monkeypatch, sign):
@@ -1016,6 +1058,7 @@ class TestOwnDigitLimit:
     # with CPython's int_max_str_digits limit switched off or at its lowest,
     # 640: a number under 4,300 digits is read at either.
     PAIR = ["--target", "0.5,0.25,0.25,0"]
+    DOCUMENT_PAIR = '{"source": ["0.4", "0.4", "0.1", "0.1"], "target": ["1", "0", "0", "0"], '
     QUARTER = "1" + "0" * 1000 + "/4" + "0" * 1000
 
     @pytest.mark.parametrize(
@@ -1059,6 +1102,21 @@ class TestOwnDigitLimit:
                 None,
                 None,
             ),
+            (
+                ["validate"],
+                DOCUMENT_PAIR + '"p": [' + "1" * 700 + "]}",
+                "error: p: malformed rational '[...]'\n",
+            ),
+            (
+                ["sweep"],
+                DOCUMENT_PAIR + '"grid_denominator": [' + "1" * 700 + "]}",
+                "error: grid denominator must be a positive integer up to 100000, got '[...]'\n",
+            ),
+            (
+                ["construct"],
+                '{"m0": {"a": ' + "1" * 700 + '}, "M0": "1/3"}',
+                "error: m0: malformed rational '{...}'\n",
+            ),
         ],
         ids=[
             "numerator",
@@ -1068,6 +1126,9 @@ class TestOwnDigitLimit:
             "signed-denominator-flag",
             "document-integer-700",
             "valid-1001-digits",
+            "document-p-array-700",
+            "document-denominator-array-700",
+            "document-m0-object-700",
         ],
     )
     def test_same_with_the_interpreter_limit_off(self, argv, stdin, message):

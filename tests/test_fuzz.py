@@ -2,7 +2,9 @@
 
 Every request must end in exit 0 or 1 with no traceback, and within a time
 bound, including numbers, exponents and JSON integers at the 4,300-digit
-input limit, long digit runs inside malformed text and long catalysts.
+input limit, long digit runs inside malformed text, long catalysts, and
+arrays and objects in a value's place, nested up to 900 deep.  Each runs at
+the interpreter's int_max_str_digits setting and at its lowest, 640.
 """
 import contextlib
 import io
@@ -24,11 +26,14 @@ class Bare(str):
 
 
 def literal(value) -> str:
-    """JSON text of a fuzzed value: lists, quoted strings and Bare literals."""
+    """JSON text of a fuzzed value: lists, dicts, quoted strings and Bare
+    literals."""
     if isinstance(value, Bare):
         return value
     if isinstance(value, list):
         return "[" + ", ".join(map(literal, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{literal(k)}: {literal(v)}" for k, v in value.items()) + "}"
     return '"' + value + '"'
 
 
@@ -46,11 +51,25 @@ _rationals = st.one_of(
     # Long digit runs inside malformed text.
     st.builds(lambda k, sep: ("1" * 4300 + sep) * k, st.integers(1, 3), st.sampled_from("x_/.")),
 )
-_values = st.one_of(
+_scalars = st.one_of(
     _rationals,
     st.builds(lambda sign, n: Bare(sign + "1" * n), st.sampled_from(["", "-"]), _limits),
     st.sampled_from([Bare("0"), Bare("1"), Bare("0.5"), Bare("1e-4300"), Bare("null")]),
 )
+# Arrays and objects in a value's place: nested, holding long ints, and one
+# array 900 deep (the JSON reader refuses about 995).
+_containers = st.recursive(
+    st.one_of(
+        st.lists(_scalars, max_size=3),
+        st.dictionaries(st.sampled_from(["a", "1"]), _scalars, max_size=2),
+        st.sampled_from([Bare("[" * 900 + "]" * 900), Bare("[" + "7" * 700 + "]")]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2), st.dictionaries(st.just("k"), inner, max_size=1),
+    ),
+    max_leaves=4,
+)
+_values = st.one_of(_scalars, _containers)
 _spectra = st.one_of(
     st.sampled_from([
         ["0.4", "0.4", "0.1", "0.1"],
@@ -72,6 +91,7 @@ _catalysts = st.one_of(
 _denominators = st.one_of(
     st.sampled_from([Bare("40"), Bare("0"), Bare("100001"), Bare("true"), "40"]),
     st.builds(lambda sign, n: Bare(sign + "9" * n), st.sampled_from(["", "-"]), _limits),
+    _containers,
 )
 _pair = {"source": _spectra, "target": _spectra}
 _documents = st.one_of(
@@ -96,7 +116,9 @@ def argv_of(command: str, document: dict) -> list[str]:
     """The request as flags: arrays joined by commas, lorenz's spectra as
     its positional arguments."""
     def text(value):
-        return ",".join(value) if isinstance(value, list) else str(value)
+        if isinstance(value, list):
+            return ",".join(v if isinstance(v, str) else literal(v) for v in value)
+        return value if isinstance(value, str) else literal(value)
 
     if command == "lorenz":
         return [command, *map(text, document["spectra"])]
@@ -104,6 +126,24 @@ def argv_of(command: str, document: dict) -> list[str]:
     for key, value in document.items():
         argv += [_FLAGS.get(key, "--" + key), text(value)]
     return argv
+
+
+def main_at(limit, argv, stdin):
+    """cli.main(argv) with stdin, at int_max_str_digits ``limit`` (None: the
+    interpreter's setting): (exit code, stderr text, seconds)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, saved_limit = sys.stdin, sys.get_int_max_str_digits()
+    sys.stdin = io.StringIO(stdin)
+    try:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            start = time.perf_counter()
+            code = cli.main(argv)
+            return code, err.getvalue(), time.perf_counter() - start
+    finally:
+        sys.stdin = saved
+        sys.set_int_max_str_digits(saved_limit)
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,16 +155,10 @@ def test_every_request_ends_in_exit_0_or_1(request, as_flags):
     else:
         argv = [command]
         stdin = "{" + ", ".join(f'"{k}": {literal(v)}' for k, v in document.items()) + "}"
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            start = time.perf_counter()
-            code = cli.main(argv)
-            elapsed = time.perf_counter() - start
-    finally:
-        sys.stdin = saved
-    assert code in (0, 1), err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    assert elapsed < BOUND_S
+    for limit in (None, 640):
+        code, err, elapsed = main_at(limit, argv, stdin)
+        assert code in (0, 1), err
+        assert "Traceback" not in err
+        # CPython's own int_max_str_digits message never stands for the reason.
+        assert "Exceeds the limit" not in err
+        assert elapsed < BOUND_S

@@ -15,7 +15,7 @@ from qcatalyst import (
     render_decimal,
     render_rational,
 )
-from qcatalyst.rationals import parse_ratio, value_text
+from qcatalyst.rationals import decimal_text, parse_ratio, ratio_text, value_text
 
 
 class TestParseRational:
@@ -283,6 +283,36 @@ class TestRenderingContract:
         assert value_text(BIG) == BIG_TEXT
         assert value_text(Fraction(BIG)) == BIG_TEXT
         assert value_text(Fraction(-1, 10**5000)) == "-1/1" + "0" * 5000
+
+    @pytest.mark.parametrize("digits", [700, 5000])
+    def test_writers_at_the_lowest_int_limit(self, digits):
+        # str() refuses an int past the interpreter's int_max_str_digits;
+        # the writers give the same text with the limit off, at the
+        # default and at the lowest setting, 640.
+        n = 7 * (10**digits - 1) // 9  # digits sevens
+        sevens = "7" * digits
+
+        def texts():
+            return [
+                value_text(n), value_text(-n), value_text(Fraction(n)),
+                value_text(Fraction(-1, n)), value_text(Fraction(n, 10**digits + 1)),
+                ratio_text(n, 3), ratio_text(-1, n),
+                decimal_text(4 * n + 1, 4), decimal_text(-3 * n - 1, 3),
+            ]
+
+        expected = [
+            sevens, "-" + sevens, sevens,
+            "-1/" + sevens, f"{sevens}/1{'0' * (digits - 1)}1",
+            sevens + "/3", "-1/" + sevens,
+            (sevens + ".25", True), ("-" + sevens + ".333333333333", False),
+        ]
+        saved = sys.get_int_max_str_digits()
+        try:
+            for limit in (0, sys.int_info.default_max_str_digits, 640):
+                sys.set_int_max_str_digits(limit)
+                assert texts() == expected, limit
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestOrdering:
