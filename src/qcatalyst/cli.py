@@ -343,15 +343,15 @@ def _cmd_lorenz(request: dict) -> list[str]:
     raw = request.get("spectra")
     if not isinstance(raw, list) or not raw:
         raise InputError("request document needs a nonempty 'spectra' array")
-    spectra = [_spectrum(values, f"spectra[{i}]") for i, values in enumerate(raw)]
     lines = []
-    for index, spectrum in enumerate(spectra):
+    for index, values in enumerate(raw):
+        # The vertices (k/n, k-th partial sum) from the origin, as
+        # majorization.lorenz_points gives them, on the ints; each spectrum
+        # is read as its rows are written, and none is kept.
+        nums, den = _spectrum(values, f"spectra[{index}]").scaled
         if index:
             lines.append("")
         lines.append("k_over_n,lambda,lambda_decimal")
-        # The vertices (k/n, k-th partial sum) from the origin, as
-        # majorization.lorenz_points gives them, on the ints.
-        nums, den = spectrum.scaled
         sums = [0, *accumulate(nums)]
         rows = zip(_ratio_strings(range(len(sums)), len(nums)), _ratio_strings(sums, den), sums)
         lines += [f"{k},{s},{decimal_text(n, den)[0]}" for k, s, n in rows]

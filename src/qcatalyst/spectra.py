@@ -43,7 +43,10 @@ def _as_pair(value: Fraction | int | str, name: str = "") -> tuple[int, int]:
     """(numerator, denominator > 0) in lowest terms of an outside rational:
     every value the library reads enters here.  A string is parsed to ints
     in lowest terms (parse_ratio, then one gcd) without a Fraction; its
-    parse error reads "name: ..." when the caller names the value."""
+    parse error reads "name: ..." when the caller names the value.  A
+    Fraction gives its own pair and an int is (value, 1), neither through a
+    new Fraction; any other rational (a Decimal, an int subclass) is read
+    through Fraction(value)."""
     # str first: Fraction is an ABC, so isinstance(value, Fraction) costs
     # about ten times as much, and most values read are text.
     if isinstance(value, str):
@@ -53,7 +56,10 @@ def _as_pair(value: Fraction | int | str, name: str = "") -> tuple[int, int]:
             raise (ValueError(f"{name}: {exc}") if name else exc) from None
         g = gcd(num, den)
         return num // g, den // g
-    if isinstance(value, Fraction):
+    # Fraction first: a catalyst check reads its Fraction p twice
+    # (is_valid_catalyst and two_qubit_catalyst).  The exact type test keeps
+    # bool and the other int subclasses out.
+    if isinstance(value, Fraction) or type(value) is int:
         return value.as_integer_ratio()
     # Floats are rejected everywhere: Fraction(0.1) would capture the binary
     # approximation, silently breaking exactness.

@@ -807,6 +807,34 @@ class TestLorenz:
         code, _, err = run(capsys, ["lorenz", "0.4,0.4"])
         assert code == 1 and "exactly 4" in err
 
+    def test_each_spectrum_is_read_after_the_rows_before_it(self, capsys, monkeypatch):
+        # No list of parsed spectra: spectra[1] is read only once the five
+        # rows of spectra[0] are written.
+        events = []
+        read, write = cli._spectrum, cli.decimal_text
+
+        def spy_read(values, key):
+            events.append(key)
+            return read(values, key)
+
+        def spy_write(*args):
+            events.append("row")
+            return write(*args)
+
+        monkeypatch.setattr(cli, "_spectrum", spy_read)
+        monkeypatch.setattr(cli, "decimal_text", spy_write)
+        code, _, _ = run(capsys, ["lorenz", "0.4,0.4,0.1,0.1", "0.5,0.25,0.25,0"])
+        assert code == 0
+        assert events == ["spectra[0]", *["row"] * 5, "spectra[1]", *["row"] * 5]
+
+    def test_malformed_spectrum_after_good_ones(self, capsys, monkeypatch):
+        # The first bad spectrum is named, and the rows already made for the
+        # good ones before it are not written.
+        doc = {"spectra": [["1", "0", "0", "0"], ["0.5", "0.5", "0", "0"], ["0.5", "0.5"]]}
+        code, out, err = run(capsys, ["lorenz"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: spectra[2]: spectrum needs exactly 4 components, got 2\n"
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

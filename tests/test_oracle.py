@@ -2,6 +2,7 @@ import contextlib
 import cProfile
 import fractions
 import io
+import json
 import pstats
 import subprocess
 import sys
@@ -225,6 +226,32 @@ class TestOnTheIntegers:
         # the pair on the ints: the one Fraction is mu (3 when the CLI parsed
         # m0, M0 into Fractions, 123 when it worked in Fractions).
         assert fractions_built(cli_quietly, ["construct", "--m0", "7/30", "--M0", "3/7"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv,document,twin,count",
+        [
+            (
+                ["analyze"],
+                {"source": [1, 0, 0, 0], "target": [1, 0, 0, 0]},
+                {"source": ["1", "0", "0", "0"], "target": ["1", "0", "0", "0"]},
+                0,
+            ),
+            (["construct"], {"m0": 1, "M0": "1/2"}, {"m0": "1", "M0": "1/2"}, 1),
+        ],
+        ids=["analyze", "construct"],
+    )
+    def test_document_ints_build_as_many_fractions_as_their_text(
+        self, monkeypatch, argv, document, twin, count
+    ):
+        # A JSON int reaches _as_pair as an int and is read as (value, 1)
+        # (8 Fractions for the analyze document and 2 for construct's, mu
+        # and m0, when an int went through Fraction(value)).
+        def built(doc):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+            analyze.cache_clear()
+            return fractions_built(cli_quietly, argv)
+
+        assert built(document) == built(twin) == count
 
     def test_no_fraction_per_check(self):
         catalyst = two_qubit_catalyst(F(3, 5))

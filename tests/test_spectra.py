@@ -1,5 +1,7 @@
 import cProfile
 import pstats
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd
 
@@ -84,6 +86,11 @@ class TestMakeSpectrum:
             Spectrum4((Fraction(1, 10), Fraction(2, 5), Fraction(2, 5), Fraction(1, 10)))
 
 
+class Weight(IntEnum):
+    ONE = 1
+    THREE = 3
+
+
 class TestOutsideRationals:
     """spectra._as_pair, the one converter for values the library reads."""
 
@@ -97,11 +104,33 @@ class TestOutsideRationals:
             (Fraction(6, 4), (3, 2)),
             (3, (3, 1)),
             (-4, (-4, 1)),
+            (Decimal("0.40"), (2, 5)),
+            (Decimal("-15E-1"), (-3, 2)),
+            (Weight.THREE, (3, 1)),
         ],
     )
     def test_lowest_terms(self, value, pair):
         result = _as_pair(value)
         assert result == pair and all(type(x) is int for x in result)
+
+    @pytest.mark.parametrize(
+        "values,twin",
+        [
+            ([Decimal("0.4"), Decimal("0.40"), Decimal("1E-1"), Decimal("0.1")],
+             ["0.4", "0.40", "1e-1", "0.1"]),
+            ([Weight.ONE, 0, 0, 0], ["1", "0", "0", "0"]),
+            ([Fraction(1, 2), 0, Decimal("0.25"), "1/4"], ["1/2", "0", "0.25", "1/4"]),
+        ],
+        ids=["decimals", "int-enum", "mixed"],
+    )
+    def test_other_rationals_read_as_their_text(self, values, twin):
+        # A value that is neither text, an int nor a Fraction is read
+        # through Fraction(value), into the string twin's spectrum.
+        assert make_spectrum(values).scaled == make_spectrum(twin).scaled
+
+    def test_decimal_nan_is_a_value_error(self):
+        with pytest.raises(ValueError, match="cannot convert NaN"):
+            make_spectrum([Decimal("NaN"), "1", "0", "0"])
 
     @pytest.mark.parametrize(
         "value,message",
