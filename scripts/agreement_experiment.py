@@ -14,8 +14,9 @@ import time
 from pathlib import Path
 
 # The pair generator and the p grid are the test suite's, so both check the
-# same points.
+# same points; the package is this checkout's, put first.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qcatalyst import (  # noqa: E402
     Verdict,

@@ -7,10 +7,11 @@ and stderr redirected as the benchmark does, and prints the number of calls
 and one sha256 over every call's (exit code, stdout, stderr).  Two checkouts
 that print the same hash answered every call byte for byte alike:
 
-    PYTHONPATH=src python3 scripts/cli_fingerprint.py
-    PYTHONPATH=src python3 scripts/cli_fingerprint.py --requests 50 --sweep-calls 2 --seeds 1
+    python3 scripts/cli_fingerprint.py
+    python3 scripts/cli_fingerprint.py --requests 50 --sweep-calls 2 --seeds 1
 
-The inputs come from ``perfbench/inputs.py``, imported unchanged.
+The package hashed is the one in this script's checkout (its ``src``), and
+the inputs come from ``perfbench/inputs.py``, imported unchanged.
 """
 import argparse
 import contextlib
@@ -21,7 +22,9 @@ import json
 import sys
 from pathlib import Path
 
+# The benchmark's inputs, and this checkout's package, put first.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import inputs  # noqa: E402
 from qcatalyst import cli  # noqa: E402

@@ -22,8 +22,19 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from qcatalyst import StarViolation, Verdict, analyze, feasible_p_set, locc_possible, make_spectrum
+# This checkout's package, put first.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from qcatalyst import (  # noqa: E402
+    StarViolation,
+    Verdict,
+    analyze,
+    feasible_p_set,
+    locc_possible,
+    make_spectrum,
+)
 
 COLUMNS = ("pairs", "locc", "catalyzable", "star_violated", "interval_empty",
            "isolated_points", "disagreements")

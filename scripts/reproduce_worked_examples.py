@@ -5,9 +5,14 @@ Covers the catalyzable pair (feasible interval plus a specific working
 catalyst), the infeasible pair (empty interval confirmed by a sweep), and
 the constructed 81/160 family with pinned mu = 1/10.
 """
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
-from qcatalyst import (
+# This checkout's package, put first.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from qcatalyst import (  # noqa: E402
     analyze,
     compute_M,
     compute_m,

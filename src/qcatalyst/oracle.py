@@ -34,6 +34,7 @@ from .spectra import (
     AugmentedSpectrum,
     CatalystSpectrum,
     Spectrum4,
+    _set_scaled,
     _two_qubit_parameter,
 )
 
@@ -57,7 +58,11 @@ def _products(alpha: Sequence[int], kappa: Sequence[int]) -> list[int]:
 def augment(state: Spectrum4, catalyst: CatalystSpectrum) -> AugmentedSpectrum:
     """All products state[i] * catalyst[j], sorted descending (on the ints)."""
     (alpha, den_a), (kappa, den_k) = state.scaled, catalyst.scaled
-    return AugmentedSpectrum((tuple(_products(alpha, kappa)), den_a * den_k))
+    # _products inline, and the value built by its slot's setter: no Python
+    # frame but this one per augmented spectrum.
+    products = tuple(sorted(starmap(mul, product(alpha, kappa)), reverse=True))
+    _set_scaled(augmented := object.__new__(AugmentedSpectrum), (products, den_a * den_k))
+    return augmented
 
 
 def oracle_valid_catalyst(

@@ -41,7 +41,9 @@ MAX_CATALYST_BITS = 1 << 17
 
 def _as_pair(value: Fraction | int | str, name: str = "") -> tuple[int, int]:
     """(numerator, denominator > 0) in lowest terms of an outside rational:
-    every value the library reads enters here.  A string is parsed to ints
+    every value the library reads enters here, but for an exact Fraction p
+    of a two-qubit catalyst, which _two_qubit_parameter reads itself with
+    one call fewer per catalyst check.  A string is parsed to ints
     in lowest terms (parse_ratio, then one gcd) without a Fraction; its
     parse error reads "name: ..." when the caller names the value.  A
     Fraction gives its own pair and an int is (value, 1), neither through a
@@ -56,9 +58,8 @@ def _as_pair(value: Fraction | int | str, name: str = "") -> tuple[int, int]:
             raise (ValueError(f"{name}: {exc}") if name else exc) from None
         g = gcd(num, den)
         return num // g, den // g
-    # Fraction first: a catalyst check reads its Fraction p twice
-    # (is_valid_catalyst and two_qubit_catalyst).  The exact type test keeps
-    # bool and the other int subclasses out.
+    # Fraction next: the components of a spectrum built from Fractions.  The
+    # exact type test keeps bool and the other int subclasses out.
     if isinstance(value, Fraction) or type(value) is int:
         return value.as_integer_ratio()
     # Floats are rejected everywhere: Fraction(0.1) would capture the binary
@@ -86,8 +87,9 @@ def _require_fractions(values: Iterable, what: str) -> None:
 
 def _two_qubit_parameter(p: Fraction) -> tuple[int, int]:
     """(k, d) with p = k/d in lowest terms; raises unless 1/2 <= p <= 1.
-    A string's parse error starts with "p: "."""
-    k, d = _as_pair(p, "p")
+    An exact Fraction is read here, every other p by _as_pair; a string's
+    parse error starts with "p: "."""
+    k, d = p.as_integer_ratio() if type(p) is Fraction else _as_pair(p, "p")
     if not d <= 2 * k <= 2 * d:
         raise ValueError(
             f"two-qubit catalyst parameter must be in [1/2, 1], got {value_text(Fraction(k, d))}"
@@ -142,7 +144,7 @@ class _Scaled(_Frozen):
     __slots__ = _fields = ("scaled",)
 
     def __init__(self, scaled: tuple[tuple[int, ...], int]) -> None:
-        object.__setattr__(self, "scaled", scaled)
+        _set_scaled(self, scaled)
 
     def _key(self) -> tuple[tuple[int, ...], int]:
         return self.scaled
@@ -153,8 +155,7 @@ class _Scaled(_Frozen):
     @classmethod
     def _unchecked(cls, scaled: tuple[tuple[int, ...], int]) -> _Scaled:
         """The value holding ``scaled``, built without a subclass's checks."""
-        value = object.__new__(cls)
-        object.__setattr__(value, "scaled", scaled)
+        _set_scaled(value := object.__new__(cls), scaled)
         return value
 
     def __iter__(self) -> Iterator[Fraction]:
@@ -166,6 +167,11 @@ class _Scaled(_Frozen):
 
     def __getitem__(self, index):
         return tuple(self)[index]
+
+
+# The slot's own setter, in C: a value is built without a Python frame for
+# _Frozen.__setattr__, which refuses every assignment.
+_set_scaled = _Scaled.scaled.__set__
 
 
 class _Canonical(_Scaled):
@@ -330,8 +336,10 @@ def two_qubit_catalyst(p: Fraction) -> CatalystSpectrum:
     starts with "p: ".
     """
     k, d = _two_qubit_parameter(p)
-    # Canonical by construction (d <= 2k <= 2d): CatalystSpectrum's check is skipped.
-    return CatalystSpectrum._unchecked(((k, d - k), d))
+    # Canonical by construction (d <= 2k <= 2d): CatalystSpectrum's check is
+    # skipped, and _unchecked's frame with it.
+    _set_scaled(catalyst := object.__new__(CatalystSpectrum), ((k, d - k), d))
+    return catalyst
 
 
 def _slacks(source: Spectrum4, target: Spectrum4) -> tuple[tuple[int, int, int], int]:

@@ -827,6 +827,30 @@ class TestLorenz:
         assert code == 0
         assert events == ["spectra[0]", *["row"] * 5, "spectra[1]", *["row"] * 5]
 
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["flags", "stdin"])
+    def test_spectrum_count_cap(self, capsys, monkeypatch, from_stdin):
+        # The count is checked before any spectrum is read.
+        monkeypatch.setattr(cli, "MAX_LORENZ_SPECTRA", 3)
+        read, read_one = [], cli._spectrum
+
+        def spy_read(values, key):
+            read.append(key)
+            return read_one(values, key)
+
+        monkeypatch.setattr(cli, "_spectrum", spy_read)
+
+        def lorenz(count):
+            spectra = [["1", "0", "0", "0"]] * count
+            if from_stdin:
+                doc = json.dumps({"spectra": spectra})
+                return run(capsys, ["lorenz"], stdin=doc, monkeypatch=monkeypatch)
+            return run(capsys, ["lorenz", *map(",".join, spectra)])
+
+        assert lorenz(3)[0] == 0 and len(read) == 3
+        read.clear()
+        assert lorenz(4) == (1, "", "error: lorenz reads at most 3 spectra, got 4\n")
+        assert read == []
+
     def test_malformed_spectrum_after_good_ones(self, capsys, monkeypatch):
         # The first bad spectrum is named, and the rows already made for the
         # good ones before it are not written.
@@ -853,6 +877,14 @@ class TestStdinDocument:
         code, out, err = run(capsys, ["analyze"])
         assert code == 1 and out == ""
         assert err.startswith("error: missing flags") and "Traceback" not in err
+
+    def test_byte_order_mark_is_input_error(self, capsys, monkeypatch):
+        # The text json.loads gives a document that starts with a BOM.
+        stdin = "\ufeff{}"
+        code, out, err = run(capsys, ["analyze"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == ("error: invalid JSON request document: Unexpected UTF-8 BOM "
+                       "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
 
     def test_deeply_nested_document_is_input_error(self, capsys, monkeypatch):
         stdin = "[" * 200_000 + "]" * 200_000

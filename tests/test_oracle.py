@@ -260,17 +260,22 @@ class TestOnTheIntegers:
         assert fractions_built(tuple, augment(CAT_SOURCE, catalyst)) == 8
 
     def test_python_calls_per_check(self):
-        # The referee: oracle_valid_catalyst, augment and _products twice
-        # (no comprehension frame) with an AugmentedSpectrum.__init__ each,
-        # is_majorized_by and first_violated_index, which reads each
-        # spectrum's scaled itself (13 with a _products comprehension and a
-        # _scaled per spectrum).  The cached rule hashes each spectrum in one
-        # frame (10 when __hash__ called _key).
+        # The referee: oracle_valid_catalyst, augment twice, is_majorized_by
+        # and first_violated_index, which reads each spectrum's scaled
+        # itself (9 when augment called _products and AugmentedSpectrum's
+        # __init__, 13 with a _products comprehension and a _scaled per
+        # spectrum).  augment alone is its own frame (3).  The cached rule
+        # hashes each spectrum in one frame (10 when __hash__ called _key)
+        # and reads its exact Fraction p without _as_pair (8);
+        # two_qubit_catalyst is itself, _two_qubit_parameter and
+        # Fraction.as_integer_ratio (5 through _as_pair and _unchecked).
         p = F(3, 5)
         catalyst = two_qubit_catalyst(p)
-        assert python_calls(oracle_valid_catalyst, CAT_SOURCE, CAT_TARGET, catalyst) == 9
+        assert python_calls(oracle_valid_catalyst, CAT_SOURCE, CAT_TARGET, catalyst) == 5
+        assert python_calls(augment, CAT_SOURCE, catalyst) == 1
+        assert python_calls(two_qubit_catalyst, p) == 3
         assert is_valid_catalyst(CAT_SOURCE, CAT_TARGET, p)
-        assert python_calls(is_valid_catalyst, CAT_SOURCE, CAT_TARGET, p) == 8
+        assert python_calls(is_valid_catalyst, CAT_SOURCE, CAT_TARGET, p) == 7
 
     def test_validate_catalyst_request_reads_each_component_once(self):
         # Each component text goes to make_catalyst and is read once, by

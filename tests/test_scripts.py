@@ -1,16 +1,20 @@
 """The bundled scripts, run end to end as a user runs them."""
+import os
 import subprocess
 import sys
 
 import pytest
 
-from support import ROOT, child_env
+from support import ROOT
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    # No PYTHONPATH: each script that imports qcatalyst puts its checkout's
+    # src first itself.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=child_env(),
+        env=env,
         capture_output=True,
         text=True,
         timeout=300,

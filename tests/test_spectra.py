@@ -31,6 +31,10 @@ from qcatalyst.spectra import MAX_CATALYST_BITS, _as_pair
 
 from support import satisfies_star, spectra, star_pairs
 
+
+class _SubFraction(Fraction):
+    """A Fraction that is not exactly one."""
+
 CAT_SOURCE = make_spectrum(["0.4", "0.4", "0.1", "0.1"])
 CAT_TARGET = make_spectrum(["0.5", "0.25", "0.25", "0"])
 HARD_SOURCE = make_spectrum(["0.45", "0.45", "0.05", "0.05"])
@@ -264,6 +268,35 @@ class TestCatalysts:
     def test_two_qubit_catalyst_range(self, p):
         with pytest.raises(ValueError, match=r"\[1/2, 1\]"):
             two_qubit_catalyst(Fraction(p))
+
+    @pytest.mark.parametrize(
+        "p,pair_reads",
+        [(Fraction(3, 5), 0), (_SubFraction(3, 5), 1), ("6/10", 1), (1, 1)],
+        ids=["Fraction", "subclass", "str", "int"],
+    )
+    def test_only_an_exact_fraction_p_skips_as_pair(self, p, pair_reads):
+        # _two_qubit_parameter reads an exact Fraction's own pair; any other
+        # p, a Fraction subclass too, is read by _as_pair into the same value.
+        profile = cProfile.Profile()
+        catalyst = profile.runcall(two_qubit_catalyst, p)
+        assert sum(calls for (_, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+                   if name == "_as_pair") == pair_reads
+        assert catalyst == make_catalyst([Fraction(p), 1 - Fraction(p)])
+
+    @pytest.mark.parametrize(
+        "p,error,message",
+        [
+            *((p, ValueError, "two-qubit catalyst parameter must be in [1/2, 1], got 2/5")
+              for p in (Fraction(2, 5), _SubFraction(2, 5), "2/5")),
+            (0, ValueError, "two-qubit catalyst parameter must be in [1/2, 1], got 0"),
+            (True, TypeError, "booleans are not rationals; pass a Fraction, int, or string"),
+        ],
+        ids=["Fraction", "subclass", "str", "int", "bool"],
+    )
+    def test_every_kind_of_p_is_refused_alike(self, p, error, message):
+        with pytest.raises(error) as info:
+            two_qubit_catalyst(p)
+        assert str(info.value) == message
 
     def test_empty_catalyst(self):
         with pytest.raises(ValueError, match="at least one"):

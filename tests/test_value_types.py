@@ -182,9 +182,22 @@ AUGMENTED = [
 
 @pytest.mark.parametrize("value", AUGMENTED)
 def test_augmented_spectrum_is_a_frozen_value(value):
+    # augment sets scaled through the slot's setter, with no __init__.
+    twin = AugmentedSpectrum(value.scaled)
+    assert value == twin and hash(value) == hash(twin)
     for duplicate in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         test_duplicates_are_equal(value, ("scaled",), duplicate)
     test_frozen(value, ("scaled",))
+
+
+@pytest.mark.parametrize("p,twin", [(F(3, 5), ["3/5", "2/5"]), (F(1), ["1", "0"])])
+def test_two_qubit_catalyst_is_a_frozen_value(p, twin):
+    # Built like augment's values; the twin comes through make_catalyst.
+    value, twin = two_qubit_catalyst(p), make_catalyst(twin)
+    assert value == twin and hash(value) == hash(twin) and value.scaled == twin.scaled
+    for duplicate in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        test_duplicates_are_equal(value, ("kappa",), duplicate)
+    test_frozen(value, ("scaled", "kappa"))
 
 
 def test_augmented_spectrum_reads_as_its_fraction_tuple():
