@@ -33,7 +33,8 @@ from support import satisfies_star, spectra, star_pairs
 
 
 class _SubFraction(Fraction):
-    """A Fraction that is not exactly one."""
+    """A Fraction subclass: an exact value, but not of the exact type."""
+
 
 CAT_SOURCE = make_spectrum(["0.4", "0.4", "0.1", "0.1"])
 CAT_TARGET = make_spectrum(["0.5", "0.25", "0.25", "0"])
