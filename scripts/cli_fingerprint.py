@@ -53,7 +53,7 @@ def answer(argv, stdin_text) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(description=(__doc__ or "").split("\n\n")[0])
     parser.add_argument("--requests", type=int, default=1000, help="requests per seed")
     parser.add_argument("--sweep-calls", type=int, default=20, help="sweep calls per seed")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])

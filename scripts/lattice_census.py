@@ -94,7 +94,7 @@ def census(d_max: int, mixed: bool = False):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(description=(__doc__ or "").split("\n\n")[0])
     parser.add_argument("d_max", metavar="D_MAX", type=int, help="largest denominator")
     parser.add_argument("--mixed", action="store_true",
                         help="pair spectra over different denominators too")

@@ -44,7 +44,7 @@ def size(text: str) -> tuple[int, int]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=(__doc__ or "\n").splitlines()[0])
     parser.add_argument("dir", nargs="?", type=Path, default=DEFAULT_DIR)
     args = parser.parse_args()
     rows = [

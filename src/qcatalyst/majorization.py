@@ -18,10 +18,9 @@ from .spectra import Spectrum4, _as_pair, _integer_form, _Scaled
 
 
 def _scaled(values: Iterable) -> tuple[Sequence[int], int]:
-    """``values`` as integer numerators over a common denominator, sorted
-    descending; raises on a negative component."""
-    if isinstance(values, _Scaled):
-        return values.scaled
+    """``values``, an outside iterable (not a _Scaled value), as integer
+    numerators over a common denominator, sorted descending; raises on a
+    negative component."""
     nums, den = _integer_form([_as_pair(v) for v in values])
     nums.sort(reverse=True)
     if nums and nums[-1] < 0:
@@ -35,7 +34,7 @@ def partial_sums(values: Iterable) -> tuple[Fraction, ...]:
 
     Raises ValueError on a negative component.
     """
-    nums, den = _scaled(values)
+    nums, den = values.scaled if isinstance(values, _Scaled) else _scaled(values)
     return tuple([Fraction(total, den) for total in accumulate(nums)])
 
 
@@ -55,8 +54,8 @@ def first_violated_index(a: Sequence, b: Sequence) -> int | None:
 
     Raises ValueError when lengths differ or totals differ.
     """
-    # A _Scaled value's form is read here, not through _scaled: one call
-    # fewer per vector on every referee check.
+    # A _Scaled value's form is read here: one call fewer per vector on
+    # every referee check.
     nums_a, den_a = a.scaled if isinstance(a, _Scaled) else _scaled(a)
     nums_b, den_b = b.scaled if isinstance(b, _Scaled) else _scaled(b)
     if len(nums_a) != len(nums_b):

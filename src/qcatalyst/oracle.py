@@ -50,16 +50,11 @@ MAX_GRID_DENOMINATOR = 100_000
 _DENOMINATOR_RULE = f"grid denominator must be a positive integer up to {MAX_GRID_DENOMINATOR}"
 
 
-def _products(alpha: Sequence[int], kappa: Sequence[int]) -> list[int]:
-    """All products a * k of two integer vectors, sorted descending."""
-    return sorted(starmap(mul, product(alpha, kappa)), reverse=True)
-
-
 def augment(state: Spectrum4, catalyst: CatalystSpectrum) -> AugmentedSpectrum:
     """All products state[i] * catalyst[j], sorted descending (on the ints)."""
     (alpha, den_a), (kappa, den_k) = state.scaled, catalyst.scaled
-    # _products inline, and the value built by its slot's setter: no Python
-    # frame but this one per augmented spectrum.
+    # The products sorted here and the value built by its slot's setter: no
+    # Python frame but this one per augmented spectrum.
     products = tuple(sorted(starmap(mul, product(alpha, kappa)), reverse=True))
     _set_scaled(augmented := object.__new__(AugmentedSpectrum), (products, den_a * den_k))
     return augmented
@@ -82,8 +77,9 @@ def _sum_gaps(alpha: Sequence[int], beta: Sequence[int], p: Ratio) -> list[int]:
     denominator D and p = n/q as the int pair (n, q), as numerators over
     D * q; the oracle accepts p exactly when none is negative."""
     kappa = (p[0], p[1] - p[0])
-    pairs = zip(_products(alpha, kappa), _products(beta, kappa))
-    return list(accumulate([t - s for s, t in pairs]))
+    source = sorted(starmap(mul, product(alpha, kappa)), reverse=True)
+    target = sorted(starmap(mul, product(beta, kappa)), reverse=True)
+    return list(accumulate([t - s for s, t in zip(source, target)]))
 
 
 def _p_set(source: Spectrum4, target: Spectrum4) -> tuple[tuple[Ratio, Ratio], ...]:

@@ -100,9 +100,9 @@ def _two_qubit_parameter(p: Fraction) -> tuple[int, int]:
 class _Frozen:
     """Base of the value types: read-only slots, set once by a checked
     ``__init__`` whose arguments ``_fields`` names in order.  A value prints
-    as ``Type(field=value, ...)`` and compares and hashes by ``_key()``, those
-    arguments unless a class says otherwise; copy, deepcopy and pickle
-    rebuild it through ``__init__``, so a duplicate is checked again."""
+    as ``Type(field=value, ...)`` and compares and hashes by those arguments
+    unless a class says otherwise; copy, deepcopy and pickle rebuild it
+    through ``__init__``, so a duplicate is checked again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -114,13 +114,11 @@ class _Frozen:
     def _args(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
-    _key = _args
-
     def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+        return self._args() == other._args() if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._args())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -146,17 +144,11 @@ class _Scaled(_Frozen):
     def __init__(self, scaled: tuple[tuple[int, ...], int]) -> None:
         _set_scaled(self, scaled)
 
-    def _key(self) -> tuple[tuple[int, ...], int]:
-        return self.scaled
+    def __eq__(self, other: object) -> bool:
+        return self.scaled == other.scaled if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.scaled)
-
-    @classmethod
-    def _unchecked(cls, scaled: tuple[tuple[int, ...], int]) -> _Scaled:
-        """The value holding ``scaled``, built without a subclass's checks."""
-        _set_scaled(value := object.__new__(cls), scaled)
-        return value
 
     def __iter__(self) -> Iterator[Fraction]:
         nums, den = self.scaled
@@ -188,7 +180,7 @@ class _Canonical(_Scaled):
         self._check_length(len(components))
         _require_fractions(components, f"{self._what} components")
         nums, den = _integer_form([v.as_integer_ratio() for v in components])
-        super().__init__(self._checked(nums, den))
+        _set_scaled(self, self._checked(nums, den))
 
     @classmethod
     def _of(cls, pairs: list[tuple[int, int]]) -> _Canonical:
@@ -198,13 +190,15 @@ class _Canonical(_Scaled):
         cls._check_length(len(pairs))
         nums, den = _integer_form(pairs)
         nums.sort(reverse=True)
-        return cls._unchecked(cls._checked(nums, den, given_order=False))
+        _set_scaled(value := object.__new__(cls), cls._checked(nums, den, given_order=False))
+        return value
 
     @classmethod
     def _from_form(cls, nums: list[int], den: int) -> _Canonical:
         """The value of integer form nums over den, checked and reduced."""
         g = gcd(den, *nums)
-        return cls._unchecked(cls._checked([n // g for n in nums], den // g))
+        _set_scaled(value := object.__new__(cls), cls._checked([n // g for n in nums], den // g))
+        return value
 
     @classmethod
     def _checked(cls, nums: list[int], den: int, given_order=True) -> tuple[tuple[int, ...], int]:
@@ -337,7 +331,7 @@ def two_qubit_catalyst(p: Fraction) -> CatalystSpectrum:
     """
     k, d = _two_qubit_parameter(p)
     # Canonical by construction (d <= 2k <= 2d): CatalystSpectrum's check is
-    # skipped, and _unchecked's frame with it.
+    # skipped.
     _set_scaled(catalyst := object.__new__(CatalystSpectrum), ((k, d - k), d))
     return catalyst
 

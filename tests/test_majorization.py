@@ -223,8 +223,8 @@ def vector_pairs(draw):
 
 
 def test_integer_forms_are_read_through_one_base():
-    # _scaled takes the stored integer form of any _Scaled value, naming no
-    # spectrum type of its own.
+    # partial_sums and first_violated_index take the stored integer form of
+    # any _Scaled value, naming no spectrum type of their own.
     import qcatalyst.majorization as majorization
     from qcatalyst.spectra import _Scaled
 

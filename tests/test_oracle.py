@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import qcatalyst.cli as cli
 from qcatalyst import (
     FeasibilityReport,
+    Spectrum4,
     Verdict,
     analyze,
     augment,
@@ -34,7 +35,7 @@ from qcatalyst import (
     sweep_grid,
     two_qubit_catalyst,
 )
-from qcatalyst.oracle import AugmentedSpectrum
+from qcatalyst.oracle import AugmentedSpectrum, _p_set, _sum_gaps
 
 from support import (
     catalyst_params,
@@ -262,20 +263,44 @@ class TestOnTheIntegers:
     def test_python_calls_per_check(self):
         # The referee: oracle_valid_catalyst, augment twice, is_majorized_by
         # and first_violated_index, which reads each spectrum's scaled
-        # itself (9 when augment called _products and AugmentedSpectrum's
-        # __init__, 13 with a _products comprehension and a _scaled per
-        # spectrum).  augment alone is its own frame (3).  The cached rule
-        # hashes each spectrum in one frame (10 when __hash__ called _key)
-        # and reads its exact Fraction p without _as_pair (8);
-        # two_qubit_catalyst is itself, _two_qubit_parameter and
-        # Fraction.as_integer_ratio (5 through _as_pair and _unchecked).
+        # itself (9 when augment called a product helper and
+        # AugmentedSpectrum's __init__, 13 with a comprehension in that helper
+        # and a form reader per spectrum).  augment alone is its own frame (3).
+        # The cached rule hashes each spectrum in one frame (10 when __hash__
+        # called a comparison-key hook) and reads its exact Fraction p
+        # without _as_pair (8); two_qubit_catalyst is itself,
+        # _two_qubit_parameter and Fraction.as_integer_ratio (5 through
+        # _as_pair and a builder helper).
+        # The cache starts empty: a cached key that is an equal spectrum but
+        # another object would add its comparisons to the count.
         p = F(3, 5)
         catalyst = two_qubit_catalyst(p)
+        analyze.cache_clear()
         assert python_calls(oracle_valid_catalyst, CAT_SOURCE, CAT_TARGET, catalyst) == 5
         assert python_calls(augment, CAT_SOURCE, catalyst) == 1
         assert python_calls(two_qubit_catalyst, p) == 3
         assert is_valid_catalyst(CAT_SOURCE, CAT_TARGET, p)
         assert python_calls(is_valid_catalyst, CAT_SOURCE, CAT_TARGET, p) == 7
+
+    def test_python_calls_per_build_and_comparison(self):
+        # A spectrum's slot is set where it is built (21 for make_spectrum
+        # and 14 for Spectrum4 when a builder helper and _Scaled.__init__
+        # set it).  _sum_gaps sorts its products in its own frame (4 through
+        # a helper per list), so _p_set of the worked pair makes 28 (36).
+        # A cache hit on equal spectra that are other objects hashes and
+        # compares each in one frame (8 through a comparison-key hook).
+        values = ["0.4", "0.4", "0.1", "0.1"]
+        assert python_calls(make_spectrum, values) == 20
+        assert python_calls(Spectrum4, CAT_SOURCE.alpha) == 13
+        # The worked pair over one denominator, 40, and p = 3/5.
+        assert python_calls(_sum_gaps, [16, 16, 4, 4], [20, 10, 10, 0], (3, 5)) == 2
+        assert python_calls(_p_set, CAT_SOURCE, CAT_TARGET) == 28
+        analyze(CAT_SOURCE, CAT_TARGET)
+        source, target = make_spectrum(values), make_spectrum(["0.5", "0.25", "0.25", "0"])
+        assert (source, target) == (CAT_SOURCE, CAT_TARGET) and source is not CAT_SOURCE
+        hits = analyze.cache_info().hits
+        assert python_calls(analyze, source, target) == 4
+        assert analyze.cache_info().hits == hits + 1
 
     def test_validate_catalyst_request_reads_each_component_once(self):
         # Each component text goes to make_catalyst and is read once, by

@@ -8,12 +8,12 @@ import pytest
 from support import ROOT
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     # No PYTHONPATH: each script that imports qcatalyst puts its checkout's
-    # src first itself.
+    # src first itself.  ``flags`` go to the interpreter, before the script.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *flags, str(ROOT / "scripts" / name), *args],
         env=env,
         capture_output=True,
         text=True,
@@ -36,26 +36,34 @@ def test_agreement_experiment():
 # The hash of the CLI's answers to these 64 calls, and to the 3,060 calls of
 # the script's default run (seeds 1-3, 1,000 requests and 20 sweep calls
 # each).  A change that moves one changed some byte of stdout or stderr, or
-# an exit code.
+# an exit code.  The 64 calls also run under -O and -OO: the CLI's answers
+# hold without asserts and without docstrings.
 FINGERPRINT_64 = "cd6c524bab97f7a617f44374ee9b158f06d4a1b82eb0fab74e457ee324d3a98a"
 FINGERPRINT_3060 = "4353545c5e8d6ca4a8f213d18995f6b7e90cc0b6e400e17c2de1907683ebfec8"
+SAMPLE_64 = ["--requests", "30", "--sweep-calls", "2", "--seeds", "1", "2"]
 
 
 @pytest.mark.parametrize(
-    "args, expected",
+    "flags, args, expected",
     [
-        (
-            ["--requests", "30", "--sweep-calls", "2", "--seeds", "1", "2"],
-            ["calls: 64", f"sha256: {FINGERPRINT_64}"],
-        ),
-        ([], ["calls: 3060", f"sha256: {FINGERPRINT_3060}"]),
+        ((), SAMPLE_64, ["calls: 64", f"sha256: {FINGERPRINT_64}"]),
+        ((), [], ["calls: 3060", f"sha256: {FINGERPRINT_3060}"]),
+        (("-O",), SAMPLE_64, ["calls: 64", f"sha256: {FINGERPRINT_64}"]),
+        (("-OO",), SAMPLE_64, ["calls: 64", f"sha256: {FINGERPRINT_64}"]),
     ],
-    ids=["64-calls", "default"],
+    ids=["64-calls", "default", "64-calls-O", "64-calls-OO"],
 )
-def test_cli_fingerprint(args, expected):
-    result = run_script("cli_fingerprint.py", *args)
+def test_cli_fingerprint(flags, args, expected):
+    result = run_script("cli_fingerprint.py", *args, flags=flags)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == expected
+
+
+@pytest.mark.parametrize("name, args", [("source_size.py", ()), ("lattice_census.py", ("3",))])
+def test_scripts_run_without_docstrings(name, args):
+    # -OO strips every docstring, the one argparse's description is read from.
+    result = run_script(name, *args, flags=("-OO",))
+    assert result.returncode == 0, result.stderr
 
 
 def test_source_size_counts_one_module(tmp_path):

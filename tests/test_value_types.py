@@ -111,6 +111,22 @@ def test_catalysts_from_different_orders_are_one_value():
         assert twin == catalyst and hash(twin) == hash(catalyst)
 
 
+def test_values_of_different_types_are_unequal():
+    # Equality asks for the same type first: a four-component catalyst
+    # holding a spectrum's integer form is another value, and no value
+    # equals the tuple of its fields.
+    spectrum = VALUES[0][0]
+    catalyst = make_catalyst(spectrum.alpha)
+    assert catalyst.scaled == spectrum.scaled
+    assert not spectrum == catalyst and not catalyst == spectrum
+    assert (spectrum != catalyst) is True and (catalyst != spectrum) is True
+    for fields in (spectrum.scaled, spectrum.alpha):
+        assert spectrum != fields and fields != spectrum
+    for value, fields in VALUES:
+        if isinstance(value, (EpsilonTriple, FeasibilityReport)):
+            assert value != tuple(getattr(value, name) for name in fields)
+
+
 @given(catalyst_params(10**7))
 @example(F(1, 2))
 @example(F(1))
