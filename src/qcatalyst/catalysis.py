@@ -70,6 +70,8 @@ class FeasibilityReport(_Frozen):
         # unpickled +infinity is an equal float, not INFINITY itself.
         bounds = [M] if isinstance(m, float) and m == INFINITY else [m, M]
         _require_fractions([b for b in bounds if b is not None], "report bounds m and M")
+        if not (star_violation is None or isinstance(star_violation, StarViolation)):
+            raise TypeError("report star_violation must be a StarViolation or None")
         if m is None or M is None:
             valid = m is None and M is None
         else:

@@ -183,7 +183,10 @@ def _load_document() -> dict:
             f"missing flags and standard input is {state}; "
             "pass flags or pipe a JSON request document"
         )
-    text = sys.stdin.read(_MAX_DOCUMENT_CHARS + 1)
+    try:
+        text = sys.stdin.read(_MAX_DOCUMENT_CHARS + 1)
+    except OSError as exc:  # an input error; main's OSError branch is for writes
+        raise InputError(exc) from None
     if len(text) > _MAX_DOCUMENT_CHARS:
         raise InputError(f"request document is longer than {_MAX_DOCUMENT_CHARS} characters")
     try:
@@ -451,9 +454,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         # Python's documented recipe for a reader that went away: point
         # stdout at devnull so that the flush at exit does not fail a second
-        # time.  Any other error writing stdout (a full disk), or reading
-        # the stdin document, is named.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # time.  Any other error writing stdout (a full disk) is named.  The
+        # descriptor opened is closed, so that main can be called again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -34,10 +34,11 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .catalysis import _bounds
-from .rationals import ratio_key, value_text
-from .spectra import Spectrum4, _as_pair, _Frozen, _require_fractions, _slacks
+from .rationals import _as_pair, ratio_key, value_text
+from .spectra import Spectrum4, _Frozen, _require_fractions, _slacks
 
 
 class Branch(Enum):
@@ -121,7 +122,7 @@ def construct_states(
     """Build a state pair with ratio bounds exactly (m0, M0).
 
     m0, M0 and a pinned mu are Fractions, ints or strings, each read as
-    one int pair in lowest terms (spectra._as_pair; a float or a bool
+    one int pair in lowest terms (rationals._as_pair; a float or a bool
     raises TypeError), and a string's parse error starts with "m0: ",
     "M0: " or "mu: ".  mu defaults to the closed-form choice of the module
     docstring; a pinned mu must be positive.  Either way the pair is
@@ -142,14 +143,19 @@ def construct_states(
     den = S * V * r * Q
     expected = (U * W * r * Q, p * U * W * Q, P * p * U * W)
     try:
-        source = Spectrum4._from_form([
+        # Each component in lowest terms, as _of reads them.
+        source = Spectrum4._of([(n // g, den // g) for n in (
             (V - U) * W * r * Q,
             H * V * r * Q + (p + r) * U * W * Q,
             H * V * r * Q - (P + Q) * p * U * W,
             q * V * r * Q + P * p * U * W,
-        ], den)
-        target = Spectrum4._from_form([W, H, H, q], S)
-    except ValueError:  # the source is out of order or negative
+        ) for g in [gcd(n, den)]])
+        target = Spectrum4._of([(n // g, S // g) for n in (W, H, H, q) for g in [gcd(n, S)]])
+    except ValueError:
+        # A negative source component.  _of sorts an out-of-order source,
+        # which moves s1, s1 + s2 or s4 and so eps1, eps2 or eps3 (the first
+        # position that moves decides which): the slack comparison below
+        # refuses it.
         verified = False
     else:
         # The slacks, then m and M from them as analyze computes them; the

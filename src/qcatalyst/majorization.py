@@ -13,8 +13,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .rationals import value_text
-from .spectra import Spectrum4, _as_pair, _integer_form, _Scaled
+from .rationals import _as_pair, value_text
+from .spectra import Spectrum4, _integer_form, _Scaled
 
 
 def _scaled(values: Iterable) -> tuple[Sequence[int], int]:

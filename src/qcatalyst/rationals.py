@@ -3,9 +3,10 @@
 Every quantity the package takes or returns is a ``fractions.Fraction``
 (arbitrary precision, canonical reduced form, exact comparisons); the hot
 paths underneath work on integer numerators over a common denominator.
-Text is read into (numerator, denominator) ints by ``parse_ratio``, and
-``ratio_text``/``decimal_text`` write int pairs back out, so a request can
-go from text to text without a Fraction.
+Text is read into (numerator, denominator) ints by ``parse_ratio``, any
+value the library reads by ``_as_pair``, and ``ratio_text``/``decimal_text``
+write int pairs back out, so a request can go from text to text without a
+Fraction.
 Binary floats are banned from all computations; they appear nowhere except
 as the ordering sentinel ``INFINITY`` below, which never enters arithmetic.
 """
@@ -17,6 +18,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 
 # The lower bound m of the catalyst-ratio interval is unbounded when
 # eps1 = 0 (the upper bound M is always below 1); comparisons between
@@ -114,6 +116,39 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
+def _as_pair(value: Fraction | int | str, name: str = "") -> tuple[int, int]:
+    """(numerator, denominator > 0) in lowest terms of an outside rational:
+    every value the library reads enters here, but for an exact Fraction p
+    of a two-qubit catalyst, which _two_qubit_parameter reads itself with
+    one call fewer per catalyst check.  A string is parsed to ints
+    in lowest terms (parse_ratio, then one gcd) without a Fraction; its
+    parse error reads "name: ..." when the caller names the value.  A
+    Fraction gives its own pair and an int is (value, 1), neither through a
+    new Fraction; any other rational (a Decimal, an int subclass) is read
+    through Fraction(value)."""
+    # str first: Fraction is an ABC, so isinstance(value, Fraction) costs
+    # about ten times as much, and most values read are text.
+    if isinstance(value, str):
+        try:
+            num, den = parse_ratio(value)
+        except ValueError as exc:
+            raise (ValueError(f"{name}: {exc}") if name else exc) from None
+        g = gcd(num, den)
+        return num // g, den // g
+    # Fraction next: the components of a spectrum built from Fractions.  The
+    # exact type test keeps bool and the other int subclasses out.
+    if isinstance(value, Fraction) or type(value) is int:
+        return value.as_integer_ratio()
+    # Floats are rejected everywhere: Fraction(0.1) would capture the binary
+    # approximation, silently breaking exactness.
+    if isinstance(value, float):
+        raise TypeError("binary floats are not exact; pass a Fraction, int, or string")
+    # bool is an int subclass; True must not pass for the rational 1.
+    if isinstance(value, bool):
+        raise TypeError("booleans are not rationals; pass a Fraction, int, or string")
+    return Fraction(value).as_integer_ratio()
+
+
 def ratio_text(num: int, den: int) -> str:
     """"num/den" text of two ints; the core of render_rational."""
     try:
@@ -148,17 +183,18 @@ def decimal_text(num: int, den: int) -> tuple[str, bool]:
 
 
 def render_rational(value: ExtendedRational) -> str:
-    """Render as "num/den" (or "inf"); parse_rational round-trips the result
-    when both parts fit its input limits."""
+    """Render as "num/den" (or "inf") of the value _as_pair reads;
+    parse_rational round-trips the result when both parts fit its input
+    limits."""
     # A Fraction is never infinite; testing the type first skips the slow
     # Fraction == float comparison on every finite value.
     if not isinstance(value, Fraction) and value == INFINITY:
         return "inf"
-    return ratio_text(value.numerator, value.denominator)
+    return ratio_text(*_as_pair(value))
 
 
 def render_decimal(value: ExtendedRational) -> tuple[str, bool]:
-    """Decimal rendering for display only.
+    """Decimal rendering for display only, of the value _as_pair reads.
 
     Returns (text, exact).  ``exact`` is False when the expansion does not
     terminate within 12 fractional digits; the text is then a truncation
@@ -166,4 +202,4 @@ def render_decimal(value: ExtendedRational) -> tuple[str, bool]:
     """
     if not isinstance(value, Fraction) and value == INFINITY:
         return "inf", True
-    return decimal_text(value.numerator, value.denominator)
+    return decimal_text(*_as_pair(value))

@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .rationals import parse_ratio, value_text
+from .rationals import _as_pair, value_text
 
 
 # Largest catalyst make_catalyst reads, as its component count times the bit
@@ -37,39 +37,6 @@ from .rationals import parse_ratio, value_text
 # document) use 72 million; unchecked, validate took 2.3 s and 164 MB on
 # them (CPython 3.11.7, 2 cores).
 MAX_CATALYST_BITS = 1 << 17
-
-
-def _as_pair(value: Fraction | int | str, name: str = "") -> tuple[int, int]:
-    """(numerator, denominator > 0) in lowest terms of an outside rational:
-    every value the library reads enters here, but for an exact Fraction p
-    of a two-qubit catalyst, which _two_qubit_parameter reads itself with
-    one call fewer per catalyst check.  A string is parsed to ints
-    in lowest terms (parse_ratio, then one gcd) without a Fraction; its
-    parse error reads "name: ..." when the caller names the value.  A
-    Fraction gives its own pair and an int is (value, 1), neither through a
-    new Fraction; any other rational (a Decimal, an int subclass) is read
-    through Fraction(value)."""
-    # str first: Fraction is an ABC, so isinstance(value, Fraction) costs
-    # about ten times as much, and most values read are text.
-    if isinstance(value, str):
-        try:
-            num, den = parse_ratio(value)
-        except ValueError as exc:
-            raise (ValueError(f"{name}: {exc}") if name else exc) from None
-        g = gcd(num, den)
-        return num // g, den // g
-    # Fraction next: the components of a spectrum built from Fractions.  The
-    # exact type test keeps bool and the other int subclasses out.
-    if isinstance(value, Fraction) or type(value) is int:
-        return value.as_integer_ratio()
-    # Floats are rejected everywhere: Fraction(0.1) would capture the binary
-    # approximation, silently breaking exactness.
-    if isinstance(value, float):
-        raise TypeError("binary floats are not exact; pass a Fraction, int, or string")
-    # bool is an int subclass; True must not pass for the rational 1.
-    if isinstance(value, bool):
-        raise TypeError("booleans are not rationals; pass a Fraction, int, or string")
-    return Fraction(value).as_integer_ratio()
 
 
 def _integer_form(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -168,10 +135,9 @@ _set_scaled = _Scaled.scaled.__set__
 
 class _Canonical(_Scaled):
     """A canonical probability vector: nonnegative, sorted descending, sum 1.
-    It is built from its Fractions in that order, by ``_of`` from
-    (numerator, denominator) pairs in any order, or by ``_from_form`` from an
-    integer form; every way the checks run in one order, and only the
-    reduced ``scaled`` is stored."""
+    It is built from its Fractions in that order or by ``_of`` from
+    (numerator, denominator) pairs in any order; both ways the checks run in
+    one order, and only the reduced ``scaled`` is stored."""
 
     __slots__ = ()
     _what = ""
@@ -194,17 +160,11 @@ class _Canonical(_Scaled):
         return value
 
     @classmethod
-    def _from_form(cls, nums: list[int], den: int) -> _Canonical:
-        """The value of integer form nums over den, checked and reduced."""
-        g = gcd(den, *nums)
-        _set_scaled(value := object.__new__(cls), cls._checked([n // g for n in nums], den // g))
-        return value
-
-    @classmethod
     def _checked(cls, nums: list[int], den: int, given_order=True) -> tuple[tuple[int, ...], int]:
         """Raise unless nums over den are nonnegative, sorted descending and
         sum to 1; return them as ``scaled``.  The order is checked only when
-        it is given: _of sorts the numerators itself."""
+        it is given, as __init__'s Fractions are: _of sorts the numerators
+        itself."""
         if min(nums) < 0:
             raise ValueError(f"{cls._what} components must be nonnegative")
         if given_order and nums != sorted(nums, reverse=True):

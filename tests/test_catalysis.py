@@ -556,6 +556,12 @@ class TestReportInvariants:
         with pytest.raises(TypeError, match="must be Fractions"):
             build()
 
+    @pytest.mark.parametrize("violation", ["eps9_negative", "eps1_negative", 1, True])
+    def test_star_violation_must_be_one(self, violation):
+        # Any reader of the field (the CLI reads .value) needs the enum.
+        with pytest.raises(TypeError, match="star_violation must be a StarViolation or None"):
+            FeasibilityReport(star_violation=violation)
+
     def test_inconsistent_report_rejected_under_optimize(self):
         # assert statements vanish under -O; the invariants must not.
         for value, error in [
@@ -567,6 +573,8 @@ class TestReportInvariants:
                 "q.ConstructionResult(r.source, r.target, 0.5, r.branch)",
                 "TypeError: construction mu must be Fractions",
             ),
+            ('FeasibilityReport(star_violation="x")', "TypeError: report star_violation"),
+            ("import qcatalyst as q; q.render_rational(True)", "TypeError: booleans"),
         ]:
             code = (
                 "from fractions import Fraction as F\n"

@@ -1112,6 +1112,53 @@ class TestBoundedIO:
         assert done.returncode == 1
         assert done.stderr == "error: [Errno 28] No space left on device\n"
 
+    def test_broken_pipe_keeps_no_descriptor(self, monkeypatch):
+        # main can be called again: each call on a pipe whose reader went
+        # away opens devnull for stdout and closes what it opened.
+        def lowest_free() -> int:
+            fd = os.open(os.devnull, os.O_RDONLY)
+            os.close(fd)
+            return fd
+
+        before = lowest_free()
+        for _ in range(5):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with open(write_end, "w") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert cli.main(["analyze", *CATALYZABLE]) == 1
+        assert lowest_free() == before
+
+    def test_unreadable_stdin_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert cli.main(["analyze"]) == 1
+        assert sys.stdout.getvalue() == ""
+        assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
+
+    def test_unreadable_stdin_leaves_stdout_alone(self):
+        # The host's stdout still reaches its reader after the call.
+        code = (
+            "import io, sys\n"
+            "import qcatalyst.cli as cli\n"
+            "class UnreadableStdin(io.StringIO):\n"
+            "    def read(self, size=-1):\n"
+            "        raise OSError(5, 'Input/output error')\n"
+            "sys.stdin = UnreadableStdin()\n"
+            "print('exit', cli.main(['analyze']))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=child_env(), text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "exit 1\n")
+        assert done.stderr == "error: [Errno 5] Input/output error\n"
+
+
+class _UnreadableStdin(io.StringIO):
+    """A stdin whose read fails, as a terminal that hung up does."""
+
+    def read(self, size=-1):
+        raise OSError(5, "Input/output error")
+
 
 class TestOwnDigitLimit:
     # The 4,300-digit limit is counted on the text by rationals, so it holds

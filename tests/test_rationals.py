@@ -1,8 +1,11 @@
 import cProfile
+import math
+import pickle
 import pstats
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -220,6 +223,28 @@ class TestRendering:
     @given(st.fractions())
     def test_round_trip(self, x):
         assert parse_rational(render_rational(x)) == x
+
+    @pytest.mark.parametrize("value", [True, 0.5, math.nan, -math.inf], ids=repr)
+    @pytest.mark.parametrize("render", [render_rational, render_decimal])
+    def test_values_that_are_not_rationals(self, render, value):
+        # Read as _as_pair reads every value: a bool is not 1, and a float
+        # but +inf is not exact.
+        with pytest.raises(TypeError):
+            render(value)
+
+    @pytest.mark.parametrize(
+        "value,text,decimal",
+        [
+            ("0.50", "1/2", ("0.5", True)),
+            (Decimal("0.5"), "1/2", ("0.5", True)),
+            (3, "3/1", ("3", True)),
+            # An equal float, not INFINITY itself.
+            (pickle.loads(pickle.dumps(INFINITY)), "inf", ("inf", True)),
+        ],
+        ids=["str", "Decimal", "int", "unpickled-inf"],
+    )
+    def test_values_render_as_as_pair_reads_them(self, value, text, decimal):
+        assert (render_rational(value), render_decimal(value)) == (text, decimal)
 
 
 def long_division(value: Fraction) -> tuple[str, bool]:
